@@ -1,13 +1,16 @@
 """Command-line surface: evaluate scalars, print words, and run verify suites.
 
 Exit codes: 0 on success, 1 when a verify suite finds a counterexample, 2 on
-usage errors.
+usage errors (including a verify run in which some suite checked nothing),
+3 on an unexpected internal error.  When stdout is closed early, as by
+`| head`, the run ends quietly with 141, the code of a SIGPIPE death.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import closed_formula as cf
@@ -67,19 +70,23 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     bounds = Bounds(max_len=args.max_len, max_nu=args.max_nu, max_m=args.max_m)
     reports = [run_suite(name, bounds, jobs=args.jobs) for name in names]
+    vacuous = [r.suite for r in reports if r.checks == 0]
+    if vacuous:
+        raise ValueError(f"the bounds leave nothing to check in {', '.join(vacuous)}")
+    payload = [r.to_dict() for r in reports]
     if args.format == "json":
-        payload = [r.to_dict() for r in reports]
-        text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True)
-        print(text)
+        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True))
     else:
         for r in reports:
             print(r.render_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -142,9 +149,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except BrokenPipeError:
+        # send the rest of stdout, and its flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except Exception as exc:
+        parser.exit(3, f"{parser.prog}: internal error: {type(exc).__name__}: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -13,19 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .laurent import LaurentScalar, ONE, ZERO, p_pow, q_pow, qnum, rho_prime, z_pow
+from .laurent import LaurentScalar, ONE, ZERO, binom2, p_pow, q_pow, qnum, rho_prime, sign, z_pow
 from .magic import magic
 from .polyring import check_index, normalize_index
 from .words import base_case
-
-
-def _binom2(n: int) -> int:
-    """binomial(n, 2); zero for n in {0, 1}."""
-    return n * (n - 1) // 2
-
-
-def _sign(n: int) -> LaurentScalar:
-    return ONE if n % 2 == 0 else -ONE
 
 
 @dataclass(frozen=True)
@@ -109,50 +100,39 @@ def factors_standard(a: int, b: int, i: int, k: int) -> XiFactors:
 
     if a_odd and b_odd:
         gamma2 = ONE
-    elif not a_odd and b_odd:
+        gamma3 = magic(nu, k, beta, -1)
+    elif b_odd:
         gamma2 = q_pow(-nu) * qm * qnum(k - nu)
-    elif a_odd and not b_odd:
+        gamma3 = magic(nu, k, beta, 0)
+    elif a_odd:
         if i == 1:
             gamma2 = q_pow(-nu) * qm * qnum(nu - k)
-        elif i == 2:
-            gamma2 = q_pow(-(ell - 1)) * qm * qnum(ell - 1 - k)
-        else:
-            gamma2 = q_pow(-(ell - 1)) * qm * qnum(1 - k)
-    else:
-        if i == 1:
-            gamma2 = q_pow(-ell) * qm * qm * qnum(k - nu) * qnum(nu + 1 - k)
-        elif i == 2:
-            gamma2 = q_pow(-(ell + nu - 1)) * qm * qm * qnum(k - nu) * qnum(ell - 1 - k)
-        else:
-            gamma2 = q_pow(-(ell + nu - 1)) * qm * qm * qnum(k - 1) * qnum(nu + 1 - k)
-
-    if a_odd and b_odd:
-        gamma3 = magic(nu, k, beta, -1)
-    elif not a_odd and b_odd:
-        gamma3 = magic(nu, k, beta, 0)
-    elif a_odd and not b_odd:
-        if i == 1:
             gamma3 = magic(nu, k, beta, 0)
         elif i == 2:
+            gamma2 = q_pow(-(ell - 1)) * qm * qnum(ell - 1 - k)
             gamma3 = magic(nu, k, beta, -1)
         else:
+            gamma2 = q_pow(-(ell - 1)) * qm * qnum(1 - k)
             gamma3 = q_pow(beta) * magic(nu, k - 1, beta, -1)
     else:
         if i == 1:
+            gamma2 = q_pow(-ell) * qm * qm * qnum(k - nu) * qnum(nu + 1 - k)
             gamma3 = magic(nu, k, beta, 1)
         elif i == 2:
+            gamma2 = q_pow(-(ell + nu - 1)) * qm * qm * qnum(k - nu) * qnum(ell - 1 - k)
             gamma3 = magic(nu, k, beta, 0)
         else:
+            gamma2 = q_pow(-(ell + nu - 1)) * qm * qm * qnum(k - 1) * qnum(nu + 1 - k)
             gamma3 = q_pow(beta) * magic(nu, k - 1, beta, 0)
 
     return XiFactors(
-        mu=_sign(beta + k),
+        mu=sign(beta + k),
         gamma1=rho_prime(alpha) * rho_prime(beta),
         gamma2=gamma2,
         gamma3=gamma3,
         kappa1=z_pow(k) * q_pow(k * (k - beta - ell)),
         kappa2=q_pow(2 * k) if i == 2 else ONE,
-        lambda1=z_pow(_binom2(beta) - _binom2(ell + 1)) * p_pow(-(beta + 1) * (ell + 3 * beta)),
+        lambda1=z_pow(binom2(beta) - binom2(ell + 1)) * p_pow(-(beta + 1) * (ell + 3 * beta)),
         lambda2=z_pow(beta) if a_odd else z_pow(-beta - 3),
         lambda3=z_pow(ell + 1) if b_odd else ONE,
         lambda4=p_pow((beta + 3) * (phi - 1)),
@@ -173,8 +153,8 @@ def xi_klen(a: int, b: int, i: int) -> LaurentScalar:
     if b % 2 == 1 or i == 2:
         return ZERO
     nabla = ONE if i == 1 else -z_pow(-p.ell)
-    zexp = -_binom2(p.ell) + _binom2(p.beta + 1) + p.ell * (p.beta + 1)
-    return _sign(p.beta + p.ell) * nabla * z_pow(zexp) * rho_prime(p.alpha + p.beta + 1)
+    zexp = -binom2(p.ell) + binom2(p.beta + 1) + p.ell * (p.beta + 1)
+    return sign(p.beta + p.ell) * nabla * z_pow(zexp) * rho_prime(p.alpha + p.beta + 1)
 
 
 def xi_bzero(a: int, i: int, k: int) -> LaurentScalar:
@@ -196,9 +176,9 @@ def xi_bzero(a: int, i: int, k: int) -> LaurentScalar:
     else:
         tail = -p_pow(-ell - 3 * k) if a_odd else p_pow(-ell - 3)
     return (
-        _sign(k + 1)
-        * q_pow(2 * _binom2(k))
-        * z_pow(-_binom2(ell))
+        sign(k + 1)
+        * q_pow(2 * binom2(k))
+        * z_pow(-binom2(ell))
         * rho_prime(alpha)
         * p_pow(k * (3 * ell - 1))
         * tail
@@ -227,10 +207,10 @@ def xi_formula(a: int, b: int, i: int, k: int) -> LaurentScalar:
         if a > 0:
             return xi_klen(a, b, i)
         inner = xi_klen(b, 0, normalize_index(-i - 2))
-        return _sign(ell) * z_pow(-ell) * inner.bar()
+        return sign(ell) * z_pow(-ell) * inner.bar()
     if b == 0:
         return xi_bzero(a, i, k)
     if a == 0:
         inner = xi_bzero(b, normalize_index(-i - 1), ell - k)
-        return _sign(ell) * z_pow(-ell) * inner.bar()
+        return sign(ell) * z_pow(-ell) * inner.bar()
     return xi_standard(a, b, i, k)

@@ -72,16 +72,6 @@ class LaurentScalar:
         """True iff the scalar lies in Z[z^{±1}], i.e. every p-exponent is even."""
         return all(e % 2 == 0 for e in self._coeffs)
 
-    def min_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("the zero scalar has no exponents")
-        return min(self._coeffs)
-
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("the zero scalar has no exponents")
-        return max(self._coeffs)
-
     def bar(self) -> LaurentScalar:
         """The ring involution p -> p^-1 (equivalently, z -> z^-1).
 
@@ -165,7 +155,8 @@ class LaurentScalar:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._coeffs.items()))
+            c = self._coeffs  # a constant hashes like the int it equals
+            self._hash = hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
         return self._hash
 
     # -- rendering ----------------------------------------------------------
@@ -233,6 +224,16 @@ def z_pow(n: int) -> LaurentScalar:
 def q_pow(n: int) -> LaurentScalar:
     """q^n = p^(-3n)."""
     return LaurentScalar({-3 * n: 1})
+
+
+def sign(n: int) -> LaurentScalar:
+    """(-1)^n as a scalar."""
+    return ONE if n % 2 == 0 else -ONE
+
+
+def binom2(n: int) -> int:
+    """binomial(n, 2); zero for n in {0, 1}."""
+    return n * (n - 1) // 2
 
 
 def bar(f: LaurentScalar) -> LaurentScalar:

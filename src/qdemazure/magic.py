@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentScalar, ONE, ZERO, q_pow, qbinom, qnum
+from .laurent import LaurentScalar, ONE, ZERO, binom2, q_pow, qbinom, qnum, sign
 
 
 def _check_eps(eps: int) -> int:
@@ -84,12 +84,27 @@ class ParityInterval:
         return self.lo <= r <= self.hi and (r - self.lo) % 2 == 0
 
 
+def genfun_window(nu: int, k: int, eps: int):
+    """gen_interval_X on the small-k window 1 <= k <= nu-1, gen_interval_Xprime
+    on the large-k window nu+1+eps <= k <= 2nu-1+eps, and None elsewhere (the
+    gap nu <= k <= nu+eps between them, or beyond either end)."""
+    _check_eps(eps)
+    if 1 <= k <= nu - 1:
+        return gen_interval_X
+    if nu + 1 + eps <= k <= 2 * nu - 1 + eps:
+        return gen_interval_Xprime
+    return None
+
+
+def _require_window(window, nu: int, k: int, eps: int) -> None:
+    if genfun_window(nu, k, eps) is not window:
+        raise ValueError(f"k={k} is outside the {window.__name__} window at nu={nu}, eps={eps}")
+
+
 def gen_interval_X(nu: int, k: int, eps: int) -> list[ParityInterval]:
     """The two disjoint parity intervals whose product expansion generates
-    magic(nu, k, ., eps) for small k (window 1 <= k <= nu-1)."""
-    _check_eps(eps)
-    if not 1 <= k <= nu - 1:
-        raise ValueError(f"k={k} outside the window 1..{nu - 1}")
+    magic(nu, k, ., eps) for small k (see genfun_window)."""
+    _require_window(gen_interval_X, nu, k, eps)
     return [
         ParityInterval(2 - k, k - 2),
         ParityInterval(3 * k - 4 * nu - 2 * eps + 2, k - 2 * nu - 2 * eps - 2),
@@ -97,10 +112,8 @@ def gen_interval_X(nu: int, k: int, eps: int) -> list[ParityInterval]:
 
 
 def gen_interval_Xprime(nu: int, k: int, eps: int) -> list[ParityInterval]:
-    """The large-k counterpart of gen_interval_X (window nu+1+eps <= k <= 2nu-1+eps)."""
-    _check_eps(eps)
-    if not nu + 1 + eps <= k <= 2 * nu - 1 + eps:
-        raise ValueError(f"k={k} outside the window {nu + 1 + eps}..{2 * nu - 1 + eps}")
+    """The large-k counterpart of gen_interval_X."""
+    _require_window(gen_interval_Xprime, nu, k, eps)
     return [
         ParityInterval(2 - k, k - 2 * nu - 2 * eps - 2),
         ParityInterval(3 * k - 4 * nu - 2 * eps + 2, k - 2),
@@ -110,9 +123,7 @@ def gen_interval_Xprime(nu: int, k: int, eps: int) -> list[ParityInterval]:
 def xprime_difference(nu: int, k: int, eps: int) -> tuple[ParityInterval, ParityInterval]:
     """The set-difference view of gen_interval_Xprime: an outer interval and the
     inner interval removed from it."""
-    _check_eps(eps)
-    if not nu + 1 + eps <= k <= 2 * nu - 1 + eps:
-        raise ValueError(f"k={k} outside the window {nu + 1 + eps}..{2 * nu - 1 + eps}")
+    _require_window(gen_interval_Xprime, nu, k, eps)
     return (
         ParityInterval(2 - k, k - 2),
         ParityInterval(k - 2 * nu - 2 * eps, 3 * k - 4 * nu - 2 * eps),
@@ -193,44 +204,30 @@ class GenSeries:
         return f"GenSeries(bound={self.bound}, [{body}])"
 
 
+def _genfun(nu: int, k: int, eps: int, bound: int, shift: int) -> GenSeries:
+    window = genfun_window(nu, k, eps)
+    if window is None:
+        raise ValueError(f"k={k + shift} is outside both generating-function windows")
+    lams = [lam + shift for iv in window(nu, k, eps) for lam in iv]
+    return GenSeries.from_factors(lams, bound)
+
+
 def magic_genfun(nu: int, k: int, eps: int, bound: int) -> GenSeries:
     """The series whose x^beta coefficient is magic(nu, k, beta, eps).
 
-    Valid on the two k-windows of gen_interval_X / gen_interval_Xprime; the gap
-    nu <= k <= nu+eps between them is rejected.
+    Valid on the two k-windows of genfun_window; the gap nu <= k <= nu+eps
+    between them is rejected.
     """
-    _check_eps(eps)
-    if 1 <= k <= nu - 1:
-        intervals = gen_interval_X(nu, k, eps)
-    elif nu + 1 + eps <= k <= 2 * nu - 1 + eps:
-        intervals = gen_interval_Xprime(nu, k, eps)
-    else:
-        raise ValueError(f"k={k} is outside both generating-function windows")
-    lams = [lam for iv in intervals for lam in iv]
-    return GenSeries.from_factors(lams, bound)
+    return _genfun(nu, k, eps, bound, 0)
 
 
 def magic_genfun_for3(nu: int, k: int, eps: int, bound: int) -> GenSeries:
     """The series whose x^beta coefficient is q^beta * magic(nu, k-1, beta, eps).
 
-    Same shape as magic_genfun with k replaced by k-1 and every interval
-    endpoint shifted up by one.
+    It is magic_genfun at k-1 with every exponent lambda shifted up by one,
+    which multiplies the x^beta coefficient by q^beta.
     """
-    _check_eps(eps)
-    if 1 <= k - 1 <= nu - 1:
-        intervals = [
-            ParityInterval(4 - k, k - 2),
-            ParityInterval(3 * k - 4 * nu - 2 * eps, k - 2 * nu - 2 * eps - 2),
-        ]
-    elif nu + 1 + eps <= k - 1 <= 2 * nu - 1 + eps:
-        intervals = [
-            ParityInterval(4 - k, k - 2 * nu - 2 * eps - 2),
-            ParityInterval(3 * k - 4 * nu - 2 * eps, k - 2),
-        ]
-    else:
-        raise ValueError(f"k={k} is outside both generating-function windows")
-    lams = [lam for iv in intervals for lam in iv]
-    return GenSeries.from_factors(lams, bound)
+    return _genfun(nu, k - 1, eps, bound, 1)
 
 
 # -- identities ---------------------------------------------------------------
@@ -238,13 +235,11 @@ def magic_genfun_for3(nu: int, k: int, eps: int, bound: int) -> GenSeries:
 
 def magic_symmetry_check(nu: int, beta: int, eps: int, k: int) -> bool:
     """Check magic(nu, k, beta, eps) == q^(beta*(2k-L)) * magic(nu, L-k, beta, eps)
-    with L = 2*nu + eps, on the window 1 <= k <= L-1 minus the gap nu..nu+eps."""
-    _check_eps(eps)
+    with L = 2*nu + eps, on the two windows of genfun_window, which make up
+    1 <= k <= L-1 minus the gap nu..nu+eps."""
+    if genfun_window(nu, k, eps) is None:
+        raise ValueError(f"k={k} is outside both generating-function windows")
     L = 2 * nu + eps
-    if not 1 <= k <= L - 1:
-        raise ValueError(f"k={k} outside 1..{L - 1}")
-    if nu <= k <= nu + eps:
-        raise ValueError(f"k={k} lies in the excluded gap {nu}..{nu + eps}")
     lhs = magic(nu, k, beta, eps)
     rhs = q_pow(beta * (2 * k - L)) * magic(nu, L - k, beta, eps)
     return lhs == rhs
@@ -287,31 +282,34 @@ def magic_recursion_check(nu: int, k: int, beta: int, eps: int) -> bool:
     return lhs == rhs
 
 
-TELESCOPE_VARIANTS = ("sum", "even_even", "odd_odd", "odd_even")
+# variant -> (l - 2nu, lowest k - nu); the variant holds for lowest k <= k < l
+TELESCOPE_WINDOWS = {"sum": (0, 0), "even_even": (1, 1), "odd_odd": (-1, 0), "odd_even": (0, 0)}
+
+
+def telescope_window(variant: str, nu: int) -> range:
+    """The k-window of a telescope variant at nu; its stop is the length l."""
+    if variant not in TELESCOPE_WINDOWS:
+        raise ValueError(f"unknown telescope variant {variant!r}")
+    dl, dk = TELESCOPE_WINDOWS[variant]
+    return range(nu + dk, 2 * nu + dl)
 
 
 def telescope_sides(variant: str, nu: int, k: int, beta: int) -> tuple[LaurentScalar, LaurentScalar]:
-    """Both sides of one of the four telescoping-sum identities.
-
-    Variants (by the parities of the lengths involved):
-      sum        l = 2nu,   window nu   <= k < l
-      even_even  l = 2nu+1, window nu+1 <= k < l
-      odd_odd    l = 2nu-1, window nu   <= k < l
-      odd_even   l = 2nu,   window nu   <= k < l
-    """
-    sgn_k = ONE if k % 2 == 0 else -ONE
+    """Both sides of one of the four telescoping-sum identities, named by the
+    parities of the lengths involved, for k in telescope_window(variant, nu)."""
+    window = telescope_window(variant, nu)
+    ell = window.stop
+    if k not in window:
+        raise ValueError(f"k={k} outside {window.start}..{ell - 1}")
+    sgn_k = sign(k)
 
     def rhs_sum(ell, weight, mag):
         total = ZERO
         for c in range(ell - k, k):
-            s = ONE if c % 2 == 0 else -ONE
-            total = total + s * weight(c) * mag(c)
+            total = total + sign(c) * weight(c) * mag(c)
         return total
 
     if variant == "sum":
-        ell = 2 * nu
-        if not nu <= k < ell:
-            raise ValueError(f"k={k} outside {nu}..{ell - 1}")
         lhs = sgn_k * (q_pow(-2 * k) - q_pow(-2 * nu)) * magic(nu, k, beta, 0) * q_pow(k * (k - beta - ell + 1))
         rhs = q_pow(-2 * ell + 2) * rhs_sum(
             ell,
@@ -320,9 +318,6 @@ def telescope_sides(variant: str, nu: int, k: int, beta: int) -> tuple[LaurentSc
         )
         return lhs, rhs
     if variant == "even_even":
-        ell = 2 * nu + 1
-        if not nu + 1 <= k < ell:
-            raise ValueError(f"k={k} outside {nu + 1}..{ell - 1}")
         lhs = (
             sgn_k
             * (q_pow(2 * k) - q_pow(2 * nu))
@@ -337,9 +332,6 @@ def telescope_sides(variant: str, nu: int, k: int, beta: int) -> tuple[LaurentSc
         )
         return lhs, rhs
     if variant == "odd_odd":
-        ell = 2 * nu - 1
-        if not nu <= k < ell:
-            raise ValueError(f"k={k} outside {nu}..{ell - 1}")
         lhs = sgn_k * q_pow(ell - 1) * (ONE - q_pow(2 * beta)) * magic(nu, k, beta, -1) * q_pow(k * (k - beta - ell))
         rhs = rhs_sum(
             ell,
@@ -347,27 +339,23 @@ def telescope_sides(variant: str, nu: int, k: int, beta: int) -> tuple[LaurentSc
             lambda c: magic(nu - 1, c, beta - 1, -1),
         )
         return lhs, rhs
-    if variant == "odd_even":
-        ell = 2 * nu
-        if not nu <= k < ell:
-            raise ValueError(f"k={k} outside {nu}..{ell - 1}")
-        lhs = (
-            sgn_k
-            * q_pow(2 * ell - 3)
-            * (ONE - q_pow(2 * beta))
-            * (q_pow(k - nu) - q_pow(nu - k))
-            * magic(nu, k, beta, 0)
-            * q_pow(k * (k - beta - ell))
-        )
-        rhs = rhs_sum(
-            ell,
-            lambda c: (q_pow(c + 1 - nu) - q_pow(nu - c - 1))
-            * (q_pow(ell - 2 - c) - q_pow(c + 2 - ell))
-            * q_pow(c * (c - beta - ell + 4)),
-            lambda c: magic(nu - 1, c, beta - 1, 0),
-        )
-        return lhs, rhs
-    raise ValueError(f"unknown telescope variant {variant!r}")
+    # odd_even
+    lhs = (
+        sgn_k
+        * q_pow(2 * ell - 3)
+        * (ONE - q_pow(2 * beta))
+        * (q_pow(k - nu) - q_pow(nu - k))
+        * magic(nu, k, beta, 0)
+        * q_pow(k * (k - beta - ell))
+    )
+    rhs = rhs_sum(
+        ell,
+        lambda c: (q_pow(c + 1 - nu) - q_pow(nu - c - 1))
+        * (q_pow(ell - 2 - c) - q_pow(c + 2 - ell))
+        * q_pow(c * (c - beta - ell + 4)),
+        lambda c: magic(nu - 1, c, beta - 1, 0),
+    )
+    return lhs, rhs
 
 
 def telescope_check(variant: str, nu: int, k: int, beta: int) -> bool:
@@ -375,8 +363,40 @@ def telescope_check(variant: str, nu: int, k: int, beta: int) -> bool:
     return lhs == rhs
 
 
-def _binom2(n: int) -> int:
-    return n * (n - 1) // 2
+def _reformed_partial_sums(
+    B: int, bound: int | None, shift: int, summand, closed_form
+) -> list[GenSeries]:
+    """The loop behind the two reformed partial-sum functions, whose docstrings
+    give the summand, closed form and step ratio for shift 1 and 2.  A closed
+    form or ratio that fails raises ArithmeticError, which survives -O."""
+    if B < 0:
+        raise ValueError("B must be nonnegative")
+    if bound is None:
+        bound = B + 1
+    sums: list[GenSeries] = []
+    acc = GenSeries.constant(bound, 0)
+    for a in range(B + 1):
+        f = GenSeries.constant(bound, sign(a) * summand(a))
+        for i in range(1, a + 1):
+            f = f.times_linear(ONE, q_pow(-shift - 2 * i))
+        for i in range(a, B):
+            f = f.times_linear(ONE, q_pow(shift + 2 * i))
+        acc = acc + f
+        closed = GenSeries.constant(bound, sign(a) * q_pow(-2 * a) * closed_form(a))
+        for i in range(2, a + 2):
+            closed = closed.times_linear(q_pow(shift + 2 * i), ONE)
+        for i in range(a, B):
+            closed = closed.times_linear(ONE, q_pow(shift + 2 * i))
+        if acc != closed:
+            raise ArithmeticError(f"partial-sum closed form fails at a={a}, B={B}")
+        if a >= 1:
+            lhs = (acc * qnum(a)).times_linear(ONE, q_pow(2 * a - 2 + shift))
+            rhs = sums[-1] * (-q_pow(-2) * qnum(a + shift))
+            rhs = rhs.times_linear(q_pow(2 * a + 2 + shift), ONE)
+            if lhs != rhs:
+                raise ArithmeticError(f"partial-sum ratio fails at a={a}, B={B}")
+        sums.append(acc)
+    return sums
 
 
 def reformed_telescope_partial_sums(B: int, bound: int | None = None) -> list[GenSeries]:
@@ -395,31 +415,11 @@ def reformed_telescope_partial_sums(B: int, bound: int | None = None) -> list[Ge
     as well as against the step ratio
     PS(a)/PS(a-1) = -q^(-2) ([a+1]/[a]) (q^(2a+3) + x)/(1 + q^(2a-1) x).
     """
-    if B < 0:
-        raise ValueError("B must be nonnegative")
-    if bound is None:
-        bound = B + 1
-    sums: list[GenSeries] = []
-    acc = GenSeries.constant(bound, 0)
-    for a in range(B + 1):
-        f = GenSeries.constant(bound, (-1) ** a * qnum(2 * a + 1) * q_pow(2 * _binom2(a + 1)))
-        for i in range(1, a + 1):
-            f = f.times_linear(ONE, q_pow(-1 - 2 * i))
-        for i in range(a, B):
-            f = f.times_linear(ONE, q_pow(1 + 2 * i))
-        acc = acc + f
-        closed = GenSeries.constant(bound, (-1) ** a * q_pow(-2 * a) * qnum(a + 1))
-        for i in range(2, a + 2):
-            closed = closed.times_linear(q_pow(1 + 2 * i), ONE)
-        for i in range(a, B):
-            closed = closed.times_linear(ONE, q_pow(1 + 2 * i))
-        assert acc == closed, f"partial-sum closed form fails at a={a}, B={B}"
-        if a >= 1:
-            lhs = (acc * qnum(a)).times_linear(ONE, q_pow(2 * a - 1))
-            rhs = (sums[-1] * (-q_pow(-2) * qnum(a + 1))).times_linear(q_pow(2 * a + 3), ONE)
-            assert lhs == rhs, f"partial-sum ratio fails at a={a}, B={B}"
-        sums.append(acc)
-    return sums
+    return _reformed_partial_sums(
+        B, bound, 1,
+        lambda a: qnum(2 * a + 1) * q_pow(2 * binom2(a + 1)),
+        lambda a: qnum(a + 1),
+    )
 
 
 def reformed_telescope_even_partial_sums(B: int, bound: int | None = None) -> list[GenSeries]:
@@ -433,30 +433,8 @@ def reformed_telescope_even_partial_sums(B: int, bound: int | None = None) -> li
 
     and step ratio -q^(-2) ([a+2]/[a]) (q^(2a+4) + x)/(1 + q^(2a) x).
     """
-    if B < 0:
-        raise ValueError("B must be nonnegative")
-    if bound is None:
-        bound = B + 1
-    sums: list[GenSeries] = []
-    acc = GenSeries.constant(bound, 0)
-    for a in range(B + 1):
-        f = GenSeries.constant(
-            bound, (-1) ** a * qnum(a + 1) * qnum(2 * a + 2) * q_pow(2 * _binom2(a + 1) + a)
-        )
-        for i in range(1, a + 1):
-            f = f.times_linear(ONE, q_pow(-2 - 2 * i))
-        for i in range(a, B):
-            f = f.times_linear(ONE, q_pow(2 + 2 * i))
-        acc = acc + f
-        closed = GenSeries.constant(bound, (-1) ** a * q_pow(-2 * a) * qnum(a + 1) * qnum(a + 2))
-        for i in range(2, a + 2):
-            closed = closed.times_linear(q_pow(2 * i + 2), ONE)
-        for i in range(a, B):
-            closed = closed.times_linear(ONE, q_pow(2 + 2 * i))
-        assert acc == closed, f"partial-sum closed form fails at a={a}, B={B}"
-        if a >= 1:
-            lhs = (acc * qnum(a)).times_linear(ONE, q_pow(2 * a))
-            rhs = (sums[-1] * (-q_pow(-2) * qnum(a + 2))).times_linear(q_pow(2 * a + 4), ONE)
-            assert lhs == rhs, f"partial-sum ratio fails at a={a}, B={B}"
-        sums.append(acc)
-    return sums
+    return _reformed_partial_sums(
+        B, bound, 2,
+        lambda a: qnum(a + 1) * qnum(2 * a + 2) * q_pow(2 * binom2(a + 1) + a),
+        lambda a: qnum(a + 1) * qnum(a + 2),
+    )

@@ -75,6 +75,11 @@ class Recorder:
         if not condition:
             self.counterexamples.append(Counterexample(inputs, detail or "condition", "violated"))
 
+    def merge(self, other: Recorder | VerifyReport) -> None:
+        """Add the checks and counterexamples of a sub-sweep."""
+        self.checks += other.checks
+        self.counterexamples.extend(other.counterexamples)
+
     def report(self, suite: str, params: dict) -> VerifyReport:
         ces = sorted(self.counterexamples, key=lambda c: tuple(map(str, c.inputs)))
         return VerifyReport(suite=suite, params=params, checks=self.checks, counterexamples=ces)

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .closed_formula import factors_standard, xi_formula
-from .laurent import LaurentScalar, ONE, ZERO, p_pow, q_pow, qbinom, qnum, rho, rho_prime, z_pow
+from .laurent import (
+    LaurentScalar, ONE, ZERO, binom2, p_pow, q_pow, qbinom, qnum, rho, rho_prime, sign, z_pow,
+)
 from .magic import magic
 from .polyring import check_index
 from .report import Recorder, VerifyReport
@@ -158,6 +160,9 @@ class CycElem:
         return self.m == other.m and self.residue == other.residue
 
     def __hash__(self) -> int:
+        # a constant hashes like the int it equals
+        if len(self.residue) <= 1:
+            return hash(self.residue[0] if self.residue else 0)
         return hash((self.m, self.residue))
 
     def divisible_by(self, n: int) -> bool:
@@ -226,10 +231,6 @@ class RouParams:
         return self.bottom <= self.alpha <= self.m - 1
 
 
-def _binom2(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def xi_rou_formula(m: int, a: int, i: int) -> CycElem:
     """The staircase scalar at a primitive root of unity, by the direct formula.
 
@@ -246,12 +247,11 @@ def xi_rou_formula(m: int, a: int, i: int) -> CycElem:
         (1, 0): -2 * p.beta**2 - 5 * p.beta - 3 + 3 * p.d,
         (1, 1): -2 * p.beta**2 - 3 * p.beta - 1,
     }[(m % 2, a % 2)]
-    sign = ONE if (p.d + a + p.beta) % 2 == 0 else -ONE
     value = (
-        sign
+        sign(p.d + a + p.beta)
         * (m * m)
         * z_pow(2 * m)
-        * q_pow(_binom2(p.d + 1) - _binom2(p.alpha + 1) - _binom2(p.beta + 1))
+        * q_pow(binom2(p.d + 1) - binom2(p.alpha + 1) - binom2(p.beta + 1))
         * qbinom(m - 1 - p.bottom, p.beta - p.bottom)
         * p_pow(blah_exp)
     )
@@ -272,13 +272,10 @@ def xi_rou_corollary(m: int, a: int, i: int) -> CycElem:
         (1, 0): beta**2 - 9 * beta * d - 2 * beta - 7 * d - 2,
         (1, 1): beta**2 - 9 * beta * d - 3 * beta - 7 * d - 3,
     }[(m % 2, a % 2)]
-    sign = ONE if (d + beta + 1) % 2 == 0 else -ONE
-    value = sign * (m * m) * qbinom(m - 1 - p.bottom, beta - p.bottom) * p_pow(blah_exp)
+    value = (
+        sign(d + beta + 1) * (m * m) * qbinom(m - 1 - p.bottom, beta - p.bottom) * p_pow(blah_exp)
+    )
     return specialize(value, m)
-
-
-def _s(n: int) -> LaurentScalar:
-    return ONE if n % 2 == 0 else -ONE
 
 
 def rou_lemma_suite(m: int) -> VerifyReport:
@@ -292,11 +289,8 @@ def rou_lemma_suite(m: int) -> VerifyReport:
     rec = Recorder()
     d = m // 2
 
-    def sp(f: LaurentScalar) -> CycElem:
-        return specialize(f, m)
-
     def eq(label: tuple, lhs: LaurentScalar, rhs: LaurentScalar) -> None:
-        rec.eq(label, sp(lhs), sp(rhs))
+        rec.eq(label, specialize(lhs, m), specialize(rhs, m))
 
     # quantum numbers: [m] = 0, [m-1] = 1, mirror and both periods
     eq(("qnum-m", m), qnum(m), ZERO)
@@ -308,7 +302,7 @@ def rou_lemma_suite(m: int) -> VerifyReport:
     # alternating binomial column; the boundary j = m fails (its defining
     # product degenerates to [m]/[m] there), so the sweep stops at m-1
     for j in range(0, m):
-        eq(("binom-2m-1", m, j), qbinom(2 * m - 1, j), ONE if j % 2 == 0 else -ONE)
+        eq(("binom-2m-1", m, j), qbinom(2 * m - 1, j), sign(j))
 
     if m % 2 == 0:
         eq(("rho-trig-even", m), rho(m - 1), m * q_pow(d * (m - 1)))
@@ -332,37 +326,37 @@ def rou_lemma_suite(m: int) -> VerifyReport:
     if m % 2 == 0:
         for beta in range(d - 1, m):
             eq(("magic-even-0", m, beta), magic(3 * d, 4 * d, beta, 0),
-               _s(beta + d - 1) * q_pow(_binom2(d)) * rho(d - 1))
+               sign(beta + d - 1) * q_pow(binom2(d)) * rho(d - 1))
             eq(("magic-even-1", m, beta), magic(3 * d, 4 * d, beta, -1) * one_minus_q2,
-               _s(beta + d) * q_pow(_binom2(d + 1)) * rho(d))
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
             eq(("magic-even-3", m, beta),
                q_pow(beta) * magic(3 * d, 4 * d - 1, beta, -1) * one_minus_q2,
-               _s(beta + d) * q_pow(_binom2(d + 1)) * rho(d))
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
     else:
         for beta in range(d, m):
             eq(("magic-odd-odd", m, beta), magic(3 * d + 2, 4 * d + 2, beta, -1),
-               _s(beta + d) * q_pow(_binom2(d + 1)) * rho(d))
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
         for beta in range(d - 1, m):
             eq(("magic-even-even-1", m, beta), magic(3 * d + 1, 4 * d + 2, beta, 1),
-               _s(beta + d - 1) * q_pow(_binom2(d)) * rho(d - 1))
+               sign(beta + d - 1) * q_pow(binom2(d)) * rho(d - 1))
             eq(("magic-even-even-2", m, beta),
                magic(3 * d + 1, 4 * d + 2, beta, 0) * one_minus_q2,
-               _s(beta + d) * q_pow(_binom2(d + 1)) * rho(d))
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
             eq(("magic-even-even-3", m, beta),
                q_pow(beta) * magic(3 * d + 1, 4 * d + 1, beta, 0) * one_minus_q2,
-               _s(beta + d) * q_pow(_binom2(d + 1)) * rho(d))
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
 
     # the assembled gamma block and the easy remaining factors, at k = 2m
     k = 2 * m
     ell = 3 * m
     for a in range(max(1, m - 1), min(2 * m, 3 * m - 2) + 1):
         p = RouParams.from_ma(m, a)
-        cexp = _binom2(d) if (a % 2 == 0 and p.b % 2 == 0) else _binom2(d + 1)
+        cexp = binom2(d) if (a % 2 == 0 and p.b % 2 == 0) else binom2(d + 1)
         expected = (
-            _s(d + p.b + 1)
+            sign(d + p.b + 1)
             * (m * m)
             * qbinom(m - 1 - p.bottom, p.alpha - p.bottom)
-            * q_pow(cexp - _binom2(p.alpha + 1) - _binom2(p.beta + 1))
+            * q_pow(cexp - binom2(p.alpha + 1) - binom2(p.beta + 1))
         )
         for i in (1, 2, 3):
             fac = factors_standard(a, p.b, i, k)

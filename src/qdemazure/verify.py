@@ -11,18 +11,19 @@ timestamp added at serialization time.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
 from . import closed_formula as cf
 from . import rou
-from .laurent import ONE, ZERO, LaurentScalar, exact_div, q_pow, qbinom, z_pow
+from .laurent import ONE, ZERO, LaurentScalar, exact_div, q_pow, qbinom, sign, z_pow
 from .magic import (
-    TELESCOPE_VARIANTS,
+    TELESCOPE_WINDOWS,
     chu_vandermonde_special,
-    gen_interval_X,
     gen_interval_Xprime,
+    genfun_window,
     magic,
     magic_genfun,
     magic_genfun_for3,
@@ -31,10 +32,11 @@ from .magic import (
     reformed_telescope_even_partial_sums,
     reformed_telescope_partial_sums,
     telescope_sides,
+    telescope_window,
     xprime_difference,
 )
 from .polyring import TriPoly, demazure, normalize_index, s_action, sigma, tau, x_var
-from .report import Counterexample, Recorder, VerifyReport
+from .report import Recorder, VerifyReport
 from .words import xi_oracle, xi_recursive
 
 
@@ -142,7 +144,7 @@ def suite_symmetries(bounds: Bounds, jobs: int = 1) -> VerifyReport:
             rec.eq(("midpoint-zero", a, b), cf.xi_formula(a, b, 1, ell // 2), ZERO)
     for c in range(max_len):
         ell = c + 1
-        sgn = ONE if ell % 2 == 0 else -ONE
+        sgn = sign(ell)
         for i in (1, 2, 3):
             for k in range(ell + 1):
                 rec.eq(
@@ -197,27 +199,18 @@ def suite_recursions(bounds: Bounds, jobs: int = 1) -> VerifyReport:
 # -- suite: formula vs oracle vs recursion ---------------------------------------
 
 
-def _triple_equal_unit(args: tuple[int, int]) -> tuple[int, list[tuple]]:
+def _triple_equal_unit(args: tuple[int, int]) -> Recorder:
     a, b = args
     ell = a + b + 1
-    checks = 0
-    bad: list[tuple] = []
+    rec = Recorder()
     for i in (1, 2, 3):
         for k in range(ell + 1):
             oracle = xi_oracle(a, b, i, k)
-            formula = cf.xi_formula(a, b, i, k)
-            recursion = xi_recursive(a, b, i, k)
-            checks += 2
-            if formula != oracle:
-                bad.append((("formula-vs-oracle", a, b, i, k), str(formula), str(oracle)))
-            if recursion != oracle:
-                bad.append((("recursion-vs-oracle", a, b, i, k), str(recursion), str(oracle)))
+            rec.eq(("formula-vs-oracle", a, b, i, k), cf.xi_formula(a, b, i, k), oracle)
+            rec.eq(("recursion-vs-oracle", a, b, i, k), xi_recursive(a, b, i, k), oracle)
             if ell <= 8:
-                checks += 1
-                plain = xi_oracle(a, b, i, k, truncate=False)
-                if plain != oracle:
-                    bad.append((("truncation", a, b, i, k), str(plain), str(oracle)))
-    return checks, bad
+                rec.eq(("truncation", a, b, i, k), xi_oracle(a, b, i, k, truncate=False), oracle)
+    return rec
 
 
 def suite_formula_vs_oracle(bounds: Bounds, jobs: int = 1) -> VerifyReport:
@@ -227,19 +220,20 @@ def suite_formula_vs_oracle(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_len = bounds.len_(12)
     rec = Recorder()
     units = list(_abi_range(max_len))
-    for checks, bad in _run_units(_triple_equal_unit, units, jobs):
-        rec.checks += checks
-        rec.counterexamples.extend(Counterexample(*t) for t in bad)
+    for unit in _run_units(_triple_equal_unit, units, jobs):
+        rec.merge(unit)
     return rec.report("formula-vs-oracle", {"max_len": max_len, "jobs": jobs})
 
 
 def _run_units(fn, units, jobs: int):
-    if jobs <= 1:
+    """fn over units, in a pool of at most min(jobs, CPUs, units) workers."""
+    workers = min(jobs, os.cpu_count() or 1, len(units))
+    if workers <= 1:
         for u in units:
             yield fn(u)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, units, chunksize=max(1, len(units) // (4 * jobs)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, units, chunksize=max(1, len(units) // (4 * workers)))
 
 
 # -- suite: golden values ---------------------------------------------------------
@@ -322,20 +316,16 @@ def suite_magic_genfun(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     for nu in range(2, max_nu + 1):
         for eps in (-1, 0, 1):
             for k in range(1, 2 * nu + eps):
-                in_low = 1 <= k <= nu - 1
-                in_high = nu + 1 + eps <= k <= 2 * nu - 1 + eps
-                if not (in_low or in_high):
+                window = genfun_window(nu, k, eps)
+                if window is None:
                     continue
-                intervals = (
-                    gen_interval_X(nu, k, eps) if in_low else gen_interval_Xprime(nu, k, eps)
-                )
-                members = [iv.members() for iv in intervals]
+                members = [iv.members() for iv in window(nu, k, eps)]
                 rec.ok(
                     ("disjoint", nu, k, eps),
                     not set(members[0]) & set(members[1]),
                     f"{members}",
                 )
-                if in_high:
+                if window is gen_interval_Xprime:
                     outer, removed = xprime_difference(nu, k, eps)
                     rec.ok(
                         ("difference-view", nu, k, eps),
@@ -345,17 +335,12 @@ def suite_magic_genfun(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                         "set difference mismatch",
                     )
                 series = magic_genfun(nu, k, eps, nu)
+                for3 = magic_genfun_for3(nu, k + 1, eps, nu)
                 for beta in range(nu + 1):
-                    rec.eq(("coeff", nu, k, eps, beta),
-                           series.coefficient(beta), magic(nu, k, beta, eps))
-            for k in range(2, 2 * nu + eps + 1):
-                if not (1 <= k - 1 <= nu - 1 or nu + 1 + eps <= k - 1 <= 2 * nu - 1 + eps):
-                    continue
-                series = magic_genfun_for3(nu, k, eps, nu)
-                for beta in range(nu + 1):
-                    rec.eq(("coeff-for3", nu, k, eps, beta),
-                           series.coefficient(beta),
-                           q_pow(beta) * magic(nu, k - 1, beta, eps))
+                    value = magic(nu, k, beta, eps)
+                    rec.eq(("coeff", nu, k, eps, beta), series.coefficient(beta), value)
+                    rec.eq(("coeff-for3", nu, k + 1, eps, beta),
+                           for3.coefficient(beta), q_pow(beta) * value)
     return rec.report("magic-genfun", {"max_nu": max_nu})
 
 
@@ -366,7 +351,7 @@ def suite_magic_symmetry(bounds: Bounds, jobs: int = 1) -> VerifyReport:
         for eps in (-1, 0, 1):
             L = 2 * nu + eps
             for k in range(1, L):
-                if nu <= k <= nu + eps:
+                if genfun_window(nu, k, eps) is None:
                     continue
                 for beta in range(nu + 1):
                     rec.ok(
@@ -418,29 +403,20 @@ def suite_magic_recursion(bounds: Bounds, jobs: int = 1) -> VerifyReport:
 def suite_telescope(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_nu = bounds.nu(8)
     rec = Recorder()
-    windows = {
-        "sum": lambda nu: range(nu, 2 * nu),
-        "even_even": lambda nu: range(nu + 1, 2 * nu + 1),
-        "odd_odd": lambda nu: range(nu, 2 * nu - 1),
-        "odd_even": lambda nu: range(nu, 2 * nu),
-    }
-    for variant in TELESCOPE_VARIANTS:
+    for variant in TELESCOPE_WINDOWS:
         for nu in range(2, max_nu + 1):
-            for k in windows[variant](nu):
+            for k in telescope_window(variant, nu):
                 for beta in range(nu + 1):
                     lhs, rhs = telescope_sides(variant, nu, k, beta)
                     rec.eq((variant, nu, k, beta), lhs, rhs)
     for B in range(0, max_nu):
-        try:
-            reformed_telescope_partial_sums(B)
-            rec.ok(("reformed", B), True)
-        except AssertionError as exc:
-            rec.ok(("reformed", B), False, str(exc))
-        try:
-            reformed_telescope_even_partial_sums(B)
-            rec.ok(("reformed-even", B), True)
-        except AssertionError as exc:
-            rec.ok(("reformed-even", B), False, str(exc))
+        for label, partial_sums in (("reformed", reformed_telescope_partial_sums),
+                                    ("reformed-even", reformed_telescope_even_partial_sums)):
+            try:
+                partial_sums(B)
+                rec.ok((label, B), True)
+            except ArithmeticError as exc:
+                rec.ok((label, B), False, str(exc))
     return rec.report("telescope", {"max_nu": max_nu})
 
 
@@ -451,37 +427,27 @@ def suite_rou_lemmas(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_m = bounds.m(8)
     rec = Recorder()
     for m in range(2, max_m + 1):
-        sub = rou.rou_lemma_suite(m)
-        rec.checks += sub.checks
-        rec.counterexamples.extend(sub.counterexamples)
+        rec.merge(rou.rou_lemma_suite(m))
     return rec.report("rou-lemmas", {"max_m": max_m})
 
 
-def _rou_xi_unit(args: tuple[int, int]) -> tuple[int, list[tuple]]:
+def _rou_xi_unit(args: tuple[int, int]) -> Recorder:
     m, a = args
-    checks = 0
-    bad: list[tuple] = []
-
-    def chk(label, lhs, rhs):
-        nonlocal checks
-        checks += 1
-        if lhs != rhs:
-            bad.append((label, str(lhs), str(rhs)))
-
+    rec = Recorder()
     values = [rou.xi_rou_specialized(m, a, i, "oracle") for i in (1, 2, 3)]
-    chk(("i-independent", m, a, 2), values[1], values[0])
-    chk(("i-independent", m, a, 3), values[2], values[0])
+    rec.eq(("i-independent", m, a, 2), values[1], values[0])
+    rec.eq(("i-independent", m, a, 3), values[2], values[0])
     ref = values[0]
     in_range = m - 1 <= a <= 2 * m
     for i in (1, 2, 3):
-        chk(("oracle-vs-formula", m, a, i), rou.xi_rou_specialized(m, a, i, "formula"), ref)
-        chk(("direct", m, a, i), rou.xi_rou_formula(m, a, i), ref)
+        rec.eq(("oracle-vs-formula", m, a, i), rou.xi_rou_specialized(m, a, i, "formula"), ref)
+        rec.eq(("direct", m, a, i), rou.xi_rou_formula(m, a, i), ref)
         if in_range:
-            chk(("short-form", m, a, i), rou.xi_rou_corollary(m, a, i), ref)
-    chk(("zero-locus", m, a), ref.is_zero(), not in_range)
+            rec.eq(("short-form", m, a, i), rou.xi_rou_corollary(m, a, i), ref)
+    rec.eq(("zero-locus", m, a), ref.is_zero(), not in_range)
     if in_range:
-        chk(("m2-divides", m, a), ref.divisible_by(m * m), True)
-    return checks, bad
+        rec.eq(("m2-divides", m, a), ref.divisible_by(m * m), True)
+    return rec
 
 
 def suite_rou_xi(bounds: Bounds, jobs: int = 1) -> VerifyReport:
@@ -491,9 +457,8 @@ def suite_rou_xi(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_m = bounds.m(6)
     rec = Recorder()
     units = [(m, a) for m in range(2, max_m + 1) for a in range(3 * m)]
-    for checks, bad in _run_units(_rou_xi_unit, units, jobs):
-        rec.checks += checks
-        rec.counterexamples.extend(Counterexample(*t) for t in bad)
+    for unit in _run_units(_rou_xi_unit, units, jobs):
+        rec.merge(unit)
     return rec.report("rou-xi", {"max_m": max_m, "jobs": jobs})
 
 

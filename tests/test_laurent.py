@@ -11,6 +11,7 @@ from qdemazure.laurent import (
     ExactDivisionError,
     LaurentScalar,
     bar,
+    binom2,
     exact_div,
     p_pow,
     q_pow,
@@ -19,6 +20,7 @@ from qdemazure.laurent import (
     qnum,
     rho,
     rho_prime,
+    sign,
     z_pow,
 )
 
@@ -200,6 +202,18 @@ def test_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_constant_hashes_like_its_int():
+    for n in (0, 1, -1, 5, 2**70):
+        c = LaurentScalar.from_int(n)
+        assert c == n and hash(c) == hash(n)
+    assert len({LaurentScalar.from_int(5), 5}) == 1
+
+
+def test_sign_and_binom2():
+    assert [sign(n) for n in (-1, 0, 1, 2)] == [-ONE, ONE, -ONE, ONE]
+    assert [binom2(n) for n in range(5)] == [0, 0, 1, 3, 6]
 
 
 def test_pow():

@@ -67,6 +67,13 @@ def test_cycelem_arithmetic():
     assert not (4 * a + CycElem.one(2)).divisible_by(4)
 
 
+def test_cycelem_constant_hashes_like_its_int():
+    for n in (0, 1, -3):
+        c = CycElem.from_int(2, n)
+        assert c == n and hash(c) == hash(n)
+    assert len({CycElem.from_int(3, 5), 5}) == 1
+
+
 def test_cycelem_render_json():
     v = xi_rou_formula(2, 2, 1)
     assert v.render() == "-4*p^2"

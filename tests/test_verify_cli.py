@@ -1,18 +1,41 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import qdemazure
 from qdemazure.cli import main
+from qdemazure.laurent import ExactDivisionError
 from qdemazure.report import Counterexample, VerifyReport
 from qdemazure.verify import Bounds, SUITES, run_suite
+
+SMALL_BOUNDS_CHECKS = {
+    "relations": 4032, "symmetries": 380, "recursions": 123, "formula-vs-oracle": 1008,
+    "magic-golden": 5, "magic-genfun": 366, "magic-symmetry": 156, "chu-vandermonde": 901,
+    "magic-recursion": 218, "telescope": 148, "rou-lemmas": 219, "rou-xi": 171,
+    "q1-degeneration": 540, "calibration": 43,
+}
+
+
+def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's qdemazure."""
+    src = str(Path(qdemazure.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
 def test_all_suites_pass_at_small_bounds():
     bounds = Bounds(max_len=6, max_nu=4, max_m=3)
+    checks = {}
     for name in SUITES:
         report = run_suite(name, bounds)
         assert report.passed, f"{name}: {report.render_text()}"
-        assert report.checks > 0
+        checks[name] = report.checks
+    assert checks == SMALL_BOUNDS_CHECKS
 
 
 def test_unknown_suite():
@@ -27,10 +50,70 @@ def test_reports_are_deterministic():
 
 
 def test_parallel_matches_serial():
+    def body(report):
+        out = report.to_dict(timestamp=False)
+        out["params"] = {k: v for k, v in out["params"].items() if k != "jobs"}
+        return out
+
     serial = run_suite("formula-vs-oracle", Bounds(max_len=6), jobs=1)
     parallel = run_suite("formula-vs-oracle", Bounds(max_len=6), jobs=2)
     assert serial.passed and parallel.passed
-    assert serial.checks == parallel.checks
+    assert body(serial) == body(parallel)
+    assert parallel.params["jobs"] == 2
+
+
+def test_pool_is_capped_by_cpus_and_units(monkeypatch):
+    import qdemazure.verify as vmod
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units, chunksize=1):
+            return map(fn, units)
+
+    monkeypatch.setattr(vmod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(vmod.os, "cpu_count", lambda: 4)
+    report = run_suite("rou-xi", Bounds(max_m=2), jobs=1000)  # 6 units
+    assert report.passed and report.params["jobs"] == 1000
+    monkeypatch.setattr(vmod.os, "cpu_count", lambda: 64)
+    run_suite("rou-xi", Bounds(max_m=2), jobs=1000)
+    assert seen == [4, 6]
+
+
+def test_reformed_failure_is_reported_under_optimize():
+    code = textwrap.dedent("""
+        import importlib
+        import json
+        from qdemazure.verify import Bounds, run_suite
+
+        magic = importlib.import_module("qdemazure.magic")  # the package re-exports the function
+        loop = magic._reformed_partial_sums
+
+        def broken(B, bound, shift, summand, closed_form):
+            if shift == 1:
+                return loop(B, bound, shift, summand, lambda a: 2 * closed_form(a))
+            return loop(B, bound, shift, summand, closed_form)
+
+        magic._reformed_partial_sums = broken
+        report = run_suite("telescope", Bounds(max_nu=3))
+        print(json.dumps({"debug": __debug__, "checks": report.checks,
+                          "failed": [list(c.inputs) for c in report.counterexamples]}))
+    """)
+    proc = _python("-O", "-c", code, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["debug"] is False
+    assert out["failed"] == [["reformed", 0], ["reformed", 1], ["reformed", 2]]
+    assert out["checks"] == run_suite("telescope", Bounds(max_nu=3)).checks
 
 
 def test_report_structure():
@@ -97,6 +180,53 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["xi", "--a", "1", "--b", "1", "--i", "7", "--k", "1"])
     assert exc.value.code == 2
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "calibration", "--jobs", jobs])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rou-xi", "--max-m", "1"],
+    ["verify", "formula-vs-oracle", "--max-len", "0"],
+])
+def test_cli_vacuous_sweep_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert argv[1] in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError("boom"),
+    ExactDivisionError("(p) is not divisible by (2)"),
+])
+def test_cli_internal_error_exit_code(monkeypatch, capsys, error):
+    import qdemazure.cli as climod
+
+    def raising(bounds, jobs=1):
+        raise error
+
+    monkeypatch.setitem(climod.SUITES, "relations", raising)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "relations"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and type(error).__name__ in err and "Traceback" not in err
+
+
+def test_cli_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "qdemazure.cli", "word", "--a", "3", "--b", "5", "--i", "2",
+                       stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_cli_verify_pass_and_report_file(tmp_path, capsys):
