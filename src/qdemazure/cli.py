@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verify suite finds a counterexample, 2 on
 usage errors (including a verify run in which some suite checked nothing),
-3 on an unexpected internal error.  When stdout is closed early, as by
-`| head`, the run ends quietly with 141, the code of a SIGPIPE death.
+3 on an unexpected internal error (a ValueError inside a suite included).
+When stdout is closed early, as by `| head`, the run ends quietly with 141,
+the code of a SIGPIPE death.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from . import rou
 from .report import SCHEMA_VERSION
 from .verify import SUITES, Bounds, run_suite
 from .words import build_word, xi_oracle, xi_recursive
+
+
+class UsageError(ValueError):
+    """Command-line input that the CLI itself rejects."""
 
 
 def _value_output(kind: str, inputs: dict, value) -> dict:
@@ -71,13 +76,13 @@ def _cmd_word(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     bounds = Bounds(max_len=args.max_len, max_nu=args.max_nu, max_m=args.max_m)
     reports = [run_suite(name, bounds, jobs=args.jobs) for name in names]
     vacuous = [r.suite for r in reports if r.checks == 0]
     if vacuous:
-        raise ValueError(f"the bounds leave nothing to check in {', '.join(vacuous)}")
+        raise UsageError(f"the bounds leave nothing to check in {', '.join(vacuous)}")
     payload = [r.to_dict() for r in reports]
     if args.format == "json":
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True))
@@ -148,11 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # point queries leave range checks to the library; in a sweep a ValueError is a bug
+    usage_errors = UsageError if args.command == "verify" else ValueError
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
         return code
-    except ValueError as exc:
+    except usage_errors as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except BrokenPipeError:
         # send the rest of stdout, and its flush at exit, to devnull

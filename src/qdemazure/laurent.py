@@ -15,7 +15,7 @@ coefficients, and the products rho / rho_prime of quantum-integer factors.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class ExactDivisionError(ArithmeticError):
@@ -46,12 +46,8 @@ class LaurentScalar:
 
     __slots__ = ("_coeffs", "_hash")
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> None:
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for e, c in items:
-            acc[e] = acc.get(e, 0) + c
-        self._coeffs = {e: c for e, c in acc.items() if c != 0}
+    def __init__(self, coeffs: Mapping[int, int]) -> None:
+        self._coeffs = {e: c for e, c in coeffs.items() if c != 0}
         self._hash: int | None = None
 
     @classmethod
@@ -208,7 +204,7 @@ class LaurentScalar:
         return f"LaurentScalar('{self.render()}')"
 
 
-ZERO = LaurentScalar()
+ZERO = LaurentScalar({})
 ONE = LaurentScalar({0: 1})
 
 

@@ -7,15 +7,16 @@ of this action sit the degree -1 divided-difference operators
 
     demazure(i, f) = (f - s_i(f)) / (x_i - z*x_{i+1}),
 
-an exact polynomial quotient, and the diagram symmetries sigma (rotation of
-the indices) and tau (the flip 1 <-> 3 combined with z -> z^{-1}).
+a geometric series on each monomial x_i^a * x_{i+1}^b (see `demazure`), and
+the diagram symmetries sigma (rotation of the indices) and tau (the flip
+1 <-> 3 combined with z -> z^{-1}).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .laurent import ONE, ZERO, ExactDivisionError, LaurentScalar, z_pow
+from .laurent import ONE, ZERO, LaurentScalar, z_pow
 
 Exponents = tuple[int, int, int]
 
@@ -42,18 +43,11 @@ class TriPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[Exponents, LaurentScalar] | Iterable[tuple[Exponents, LaurentScalar]] = (),
-    ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exponents, LaurentScalar] = {}
-        for exps, coeff in items:
-            exps = tuple(exps)  # type: ignore[assignment]
+    def __init__(self, terms: Mapping[Exponents, LaurentScalar]) -> None:
+        for exps in terms:
             if len(exps) != 3 or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent triple {exps}")
-            acc[exps] = acc.get(exps, ZERO) + coeff
-        self._terms = {e: c for e, c in acc.items() if not c.is_zero()}
+        self._terms = {e: c for e, c in terms.items() if not c.is_zero()}
 
     @classmethod
     def monomial(cls, exps: Exponents, coeff: LaurentScalar | int = 1) -> TriPoly:
@@ -62,7 +56,7 @@ class TriPoly:
 
     @classmethod
     def zero(cls) -> TriPoly:
-        return cls()
+        return cls({})
 
     @classmethod
     def one(cls) -> TriPoly:
@@ -83,9 +77,6 @@ class TriPoly:
 
     def constant_coefficient(self) -> LaurentScalar:
         return self._terms.get((0, 0, 0), ZERO)
-
-    def coefficient(self, exps: Exponents) -> LaurentScalar:
-        return self._terms.get(tuple(exps), ZERO)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -214,42 +205,25 @@ def tau(f: TriPoly) -> TriPoly:
 def demazure(i: int, f: TriPoly) -> TriPoly:
     """The divided-difference operator (f - s_i(f)) / (x_i - z*x_{i+1}).
 
-    The divisor is monic as a polynomial in x_i, so the quotient is computed
-    by long division in x_i; the remainder always vanishes because f - s_i(f)
-    is antisymmetric under s_i.
+    Each term c * x_i^a * x_{i+1}^b * (third variable) maps to the geometric
+    series c * sum_{t<a-b} z^t * x_i^(a-1-t) * x_{i+1}^(b+t) when a > b, to
+    -c * z^(a-b) times the series with a and b swapped when a < b, and to 0
+    when a = b.
     """
     check_index(i)
     pos_i = i - 1
     pos_n = normalize_index(i + 1) - 1
-    num = (f - s_action(i, f)).terms()
-    quot: dict[Exponents, LaurentScalar] = {}
-
-    def lead_key(exps: Exponents) -> tuple[int, int, int]:
-        return (exps[pos_i], exps[pos_n], exps[3 - pos_i - pos_n])
-
-    z1 = z_pow(1)
-    while num:
-        exps = max(num, key=lead_key)
-        if exps[pos_i] == 0:
-            raise ExactDivisionError(
-                f"demazure({i}, ...): division left remainder at term {exps}"
-            )
-        coeff = num.pop(exps)
-        q_exps = list(exps)
-        q_exps[pos_i] -= 1
-        key = tuple(q_exps)
-        quot[key] = quot.get(key, ZERO) + coeff
-        # Subtract coeff * x^key * (x_i - z x_{i+1}); the x_i part cancels the
-        # term just popped, leaving the shifted z-part.
-        shift = list(q_exps)
-        shift[pos_n] += 1
-        skey = tuple(shift)
-        rest = num.get(skey, ZERO) + coeff * z1
-        if rest.is_zero():
-            num.pop(skey, None)
-        else:
-            num[skey] = rest
-    return TriPoly(quot)
+    out: dict[Exponents, LaurentScalar] = {}
+    for exps, coeff in f.terms().items():
+        a, b = exps[pos_i], exps[pos_n]
+        if a < b:
+            a, b, coeff = b, a, -coeff * z_pow(a - b)
+        new = list(exps)
+        for t in range(a - b):
+            new[pos_i], new[pos_n] = a - 1 - t, b + t
+            key = tuple(new)
+            out[key] = out.get(key, ZERO) + coeff * z_pow(t)
+    return TriPoly(out)
 
 
 def drop_x123_multiples(f: TriPoly) -> TriPoly:

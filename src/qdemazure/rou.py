@@ -63,7 +63,8 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
     for d in range(1, N):
         if N % d == 0:
             poly, rem = _poly_divmod(poly, list(cyclotomic_poly(d)))
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"Phi_{d} leaves a remainder in x^{N} - 1")
     return tuple(poly)
 
 

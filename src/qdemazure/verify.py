@@ -215,8 +215,8 @@ def _triple_equal_unit(args: tuple[int, int]) -> Recorder:
 
 def suite_formula_vs_oracle(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     """Exact agreement of the closed formula, the recursion and the brute-force
-    oracle on every quadruple up to the length bound, plus truncated-vs-plain
-    oracle agreement for lengths up to 8."""
+    oracle on every quadruple up to the length bound, plus agreement of the
+    oracle with its run that keeps x1*x2*x3 multiples, for lengths up to 8."""
     max_len = bounds.len_(12)
     rec = Recorder()
     units = list(_abi_range(max_len))

@@ -20,10 +20,6 @@ from functools import lru_cache
 from .laurent import LaurentScalar, ZERO, ONE, z_pow
 from .polyring import TriPoly, demazure, drop_x123_multiples, normalize_index, check_index
 
-# Length threshold above which the oracle drops x1*x2*x3-divisible terms
-# between steps by default.
-TRUNCATE_DEFAULT_LEN = 8
-
 
 @dataclass(frozen=True)
 class WordABI:
@@ -55,24 +51,24 @@ def build_word(a: int, b: int, i: int) -> WordABI:
     letters.append(normalize_index(j + 1))
     letters.extend(normalize_index(j - t) for t in range(b))
     word = WordABI(a, b, i, tuple(letters))
-    assert len(word.letters) == a + b + 1 and word.letters[-1] == i
+    if len(word.letters) != a + b + 1 or word.letters[-1] != i:
+        raise RuntimeError(f"build_word({a},{b},{i}) gave {word.letters}")
     return word
 
 
-def xi_oracle(a: int, b: int, i: int, k: int, truncate: bool | None = None) -> LaurentScalar:
+def xi_oracle(a: int, b: int, i: int, k: int, truncate: bool = True) -> LaurentScalar:
     """Apply the divided-difference operators of w(a, b, i), rightmost letter
     first, to x1^k * x2^(l-k), and return the resulting scalar.
 
-    With ``truncate`` set (the default for lengths above TRUNCATE_DEFAULT_LEN),
-    terms divisible by x1*x2*x3 are dropped after each step; the result is
-    identical either way.
+    Terms divisible by x1*x2*x3 are dropped after each step, which is exact
+    because no composite of the operators takes them to a nonzero scalar.
+    ``truncate=False`` keeps them, as the reference the truncated run is
+    checked against.
     """
     ell = a + b + 1
     if not 0 <= k <= ell:
         raise ValueError(f"k={k} out of range 0..{ell}")
     word = build_word(a, b, i)
-    if truncate is None:
-        truncate = ell > TRUNCATE_DEFAULT_LEN
     f = TriPoly.monomial((k, ell - k, 0))
     for letter in reversed(word.letters):
         f = demazure(letter, f)

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdemazure.laurent import ONE, ZERO, z_pow
+from qdemazure.laurent import ONE, ZERO, LaurentScalar, z_pow
 from qdemazure.polyring import (
     TriPoly,
     X1,
@@ -23,6 +25,18 @@ def monomials(max_deg):
         for e1 in range(d + 1):
             for e2 in range(d - e1 + 1):
                 yield TriPoly.monomial((e1, e2, d - e1 - e2))
+
+
+small_scalars = st.builds(
+    LaurentScalar,
+    st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3),
+)
+polys = st.builds(
+    TriPoly,
+    st.dictionaries(
+        st.sampled_from([e for f in monomials(6) for e in f.terms()]), small_scalars, max_size=6
+    ),
+)
 
 
 def test_normalize_index():
@@ -142,3 +156,34 @@ def test_render_and_json():
     assert TriPoly.one().render() == "1"
     assert X2.render() == "x2"
     assert f.to_json() == [{"exponents": [2, 1, 0], "coeff": {"0": "1", "6": "1"}}]
+
+
+@given(polys, st.sampled_from((1, 2, 3)))
+@settings(max_examples=200)
+def test_demazure_times_divisor_is_numerator(f, i):
+    divisor = x_var(i) - x_var(normalize_index(i + 1)) * z_pow(1)
+    assert divisor * demazure(i, f) == f - s_action(i, f)
+
+
+@given(polys, st.sampled_from((1, 2, 3)))
+@settings(max_examples=40, deadline=None)
+def test_demazure_matches_sympy_division(f, i):
+    sympy = pytest.importorskip("sympy")
+    p = sympy.Symbol("p")
+    xs = sympy.symbols("x1 x2 x3")
+
+    def to_sympy(g):
+        return sum(
+            (sympy.Integer(c) * p**pe * xs[0]**e[0] * xs[1]**e[1] * xs[2]**e[2]
+             for e, coeff in g.terms().items() for pe, c in coeff.coefficients().items()),
+            sympy.Integer(0),
+        )
+
+    # p-exponents reach -4 in a coefficient and -12 more under s_i on degree 6;
+    # clearing them lets sympy divide polynomials in p
+    shift = p**16
+    num = sympy.expand(shift * to_sympy(f - s_action(i, f)))
+    den = xs[i - 1] - p**2 * xs[normalize_index(i + 1) - 1]
+    quot, rem = sympy.div(num, den, *xs)
+    assert rem == 0
+    assert sympy.expand(quot - shift * to_sympy(demazure(i, f))) == 0

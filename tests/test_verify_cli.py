@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import qdemazure
 from qdemazure.cli import main
 from qdemazure.laurent import ExactDivisionError
+from qdemazure.polyring import TriPoly
 from qdemazure.report import Counterexample, VerifyReport
 from qdemazure.verify import Bounds, SUITES, run_suite
 
@@ -116,6 +118,26 @@ def test_reformed_failure_is_reported_under_optimize():
     assert out["checks"] == run_suite("telescope", Bounds(max_nu=3)).checks
 
 
+def test_truncation_check_can_fail(monkeypatch):
+    import qdemazure.words as words
+
+    def drops_too_much(f):
+        # also drops the x3 terms, which can still reach a nonzero scalar
+        return TriPoly({e: c for e, c in f.terms().items() if e[2] == 0})
+
+    monkeypatch.setattr(words, "drop_x123_multiples", drops_too_much)
+    report = run_suite("formula-vs-oracle", Bounds(max_len=4))
+    assert any(c.inputs[0] == "truncation" for c in report.counterexamples)
+
+
+def test_no_assert_in_package():
+    """Checks must survive `python -O`, which strips assert statements."""
+    for path in sorted(Path(qdemazure.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
+
+
 def test_report_structure():
     report = VerifyReport(suite="demo", params={"n": 1}, checks=2,
                           counterexamples=[Counterexample((1, 2), "a", "b")])
@@ -202,6 +224,7 @@ def test_cli_vacuous_sweep_is_usage_error(argv, capsys):
 @pytest.mark.parametrize("error", [
     RuntimeError("boom"),
     ExactDivisionError("(p) is not divisible by (2)"),
+    ValueError("k=5 is outside both generating-function windows"),
 ])
 def test_cli_internal_error_exit_code(monkeypatch, capsys, error):
     import qdemazure.cli as climod
@@ -214,7 +237,8 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys, error):
         main(["verify", "relations"])
     assert exc.value.code == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and type(error).__name__ in err and "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"internal error: {type(error).__name__}: " in err
 
 
 def test_cli_closed_stdout_exits_quietly():
