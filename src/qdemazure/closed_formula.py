@@ -2,8 +2,8 @@
 Closed-form evaluation of the word scalars, in every parameter regime.
 
 The standard regime (a, b > 0 and 0 < k < l) is a product of eleven named
-factors; the edges (k at 0 or l, a = 0, b = 0) each have their own much
-shorter formula, several of them defined by pulling a b = 0 value through the
+factors; the edges (k at 0 or l, b = 0) each have their own much shorter
+formula, and the a = 0 column is the b = 0 row pulled through the
 bar symmetry.  The dispatcher xi_formula makes the case split explicit and
 total.  Agreement with the brute-force oracle over the full sweep window is
 what certifies every branch.
@@ -189,9 +189,9 @@ def xi_formula(a: int, b: int, i: int, k: int) -> LaurentScalar:
     """Dispatch to the closed formula for any (a, b, i, k), 0 <= k <= a+b+1.
 
     Order of the case split: the length-one base cases; k = 0 rewritten as
-    k = l with the previous index; k = l (directly for a > 0, through the bar
-    symmetry for a = 0); b = 0; a = 0 (again through the bar symmetry); and
-    finally the standard regime.
+    k = l with the previous index; a = 0 folded onto b = 0 through the bar
+    symmetry, Xi(0, b, i, k) = (-1)^l z^-l bar(Xi(b, 0, -i-1, l-k)); k = l;
+    b = 0; and finally the standard regime.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
@@ -203,14 +203,10 @@ def xi_formula(a: int, b: int, i: int, k: int) -> LaurentScalar:
         return base_case(i, k)
     if k == 0:
         return xi_formula(a, b, normalize_index(i - 1), ell)
+    if a == 0:
+        return sign(ell) * z_pow(-ell) * xi_formula(b, 0, normalize_index(-i - 1), ell - k).bar()
     if k == ell:
-        if a > 0:
-            return xi_klen(a, b, i)
-        inner = xi_klen(b, 0, normalize_index(-i - 2))
-        return sign(ell) * z_pow(-ell) * inner.bar()
+        return xi_klen(a, b, i)
     if b == 0:
         return xi_bzero(a, i, k)
-    if a == 0:
-        inner = xi_bzero(b, normalize_index(-i - 1), ell - k)
-        return sign(ell) * z_pow(-ell) * inner.bar()
     return xi_standard(a, b, i, k)

@@ -363,16 +363,13 @@ def telescope_check(variant: str, nu: int, k: int, beta: int) -> bool:
     return lhs == rhs
 
 
-def _reformed_partial_sums(
-    B: int, bound: int | None, shift: int, summand, closed_form
-) -> list[GenSeries]:
+def _reformed_partial_sums(B: int, shift: int, summand, closed_form) -> list[GenSeries]:
     """The loop behind the two reformed partial-sum functions, whose docstrings
     give the summand, closed form and step ratio for shift 1 and 2.  A closed
     form or ratio that fails raises ArithmeticError, which survives -O."""
     if B < 0:
         raise ValueError("B must be nonnegative")
-    if bound is None:
-        bound = B + 1
+    bound = B + 1
     sums: list[GenSeries] = []
     acc = GenSeries.constant(bound, 0)
     for a in range(B + 1):
@@ -399,7 +396,7 @@ def _reformed_partial_sums(
     return sums
 
 
-def reformed_telescope_partial_sums(B: int, bound: int | None = None) -> list[GenSeries]:
+def reformed_telescope_partial_sums(B: int) -> list[GenSeries]:
     """Partial sums PS(0..B) of the single-weight telescoping identity.
 
     The a-th summand is
@@ -416,13 +413,13 @@ def reformed_telescope_partial_sums(B: int, bound: int | None = None) -> list[Ge
     PS(a)/PS(a-1) = -q^(-2) ([a+1]/[a]) (q^(2a+3) + x)/(1 + q^(2a-1) x).
     """
     return _reformed_partial_sums(
-        B, bound, 1,
+        B, 1,
         lambda a: qnum(2 * a + 1) * q_pow(2 * binom2(a + 1)),
         lambda a: qnum(a + 1),
     )
 
 
-def reformed_telescope_even_partial_sums(B: int, bound: int | None = None) -> list[GenSeries]:
+def reformed_telescope_even_partial_sums(B: int) -> list[GenSeries]:
     """Partial sums of the double-weight variant, with summand
 
         (-1)^a [a+1][2a+2] q^(2*binom(a+1,2)+a)
@@ -434,7 +431,7 @@ def reformed_telescope_even_partial_sums(B: int, bound: int | None = None) -> li
     and step ratio -q^(-2) ([a+2]/[a]) (q^(2a+4) + x)/(1 + q^(2a) x).
     """
     return _reformed_partial_sums(
-        B, bound, 2,
+        B, 2,
         lambda a: qnum(a + 1) * qnum(2 * a + 2) * q_pow(2 * binom2(a + 1) + a),
         lambda a: qnum(a + 1) * qnum(a + 2),
     )

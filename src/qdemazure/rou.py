@@ -19,31 +19,13 @@ from functools import lru_cache
 
 from .closed_formula import factors_standard, xi_formula
 from .laurent import (
-    LaurentScalar, ONE, ZERO, binom2, p_pow, q_pow, qbinom, qnum, rho, rho_prime, sign, z_pow,
+    LaurentScalar, ONE, ZERO, binom2, exact_div, p_pow, q_pow, qbinom, qnum, rho, rho_prime, sign,
+    z_pow,
 )
 from .magic import magic
 from .polyring import check_index
 from .report import Recorder, VerifyReport
 from .words import xi_oracle
-
-
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Dense integer polynomial division; requires exact leading divisions."""
-    num = list(num)
-    q = [0] * max(0, len(num) - len(den) + 1)
-    while True:
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        c, r = divmod(num[-1], den[-1])
-        if r:
-            raise ArithmeticError("non-monic division step")
-        d = len(num) - len(den)
-        q[d] = c
-        for t, dc in enumerate(den):
-            num[t + d] -= c * dc
-    return q, num
 
 
 @lru_cache(maxsize=None)
@@ -59,20 +41,20 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    poly = [-1] + [0] * (N - 1) + [1]
+    poly = LaurentScalar({0: -1, N: 1})
     for d in range(1, N):
         if N % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_poly(d)))
-            if rem:
-                raise ArithmeticError(f"Phi_{d} leaves a remainder in x^{N} - 1")
-    return tuple(poly)
+            poly = exact_div(poly, LaurentScalar(dict(enumerate(cyclotomic_poly(d)))))
+    coeffs = poly.coefficients()
+    return tuple(coeffs.get(e, 0) for e in range(max(coeffs) + 1))
 
 
 class CycElem:
     """An element of Z[x]/Phi_(6m)(x), with x the image of p.
 
     The residue is stored densely, constant term first, with fewer
-    coefficients than the degree of Phi_(6m).
+    coefficients than the degree of Phi_(6m).  Arithmetic lifts both residues
+    to LaurentScalar and specializes the result.
     """
 
     __slots__ = ("m", "residue")
@@ -81,9 +63,15 @@ class CycElem:
         if m < 2:
             raise ValueError("m must be at least 2")
         phi = cyclotomic_poly(6 * m)
+        deg = len(phi) - 1
         res = list(residue)
-        if len(res) >= len(phi) - 1:
-            _, res = _poly_divmod(res, list(phi))
+        # remainder by the monic Phi_(6m): clear the top coefficients in turn
+        for top in range(len(res) - 1, deg - 1, -1):
+            c = res[top]
+            if c:
+                for t in range(deg):
+                    res[top - deg + t] -= c * phi[t]
+        del res[deg:]
         while res and res[-1] == 0:
             res.pop()
         self.m = m
@@ -107,23 +95,22 @@ class CycElem:
     def __bool__(self) -> bool:
         return bool(self.residue)
 
-    def _check_compatible(self, other: CycElem) -> None:
+    def _lift(self) -> LaurentScalar:
+        """The residue as a polynomial in p."""
+        return LaurentScalar(dict(enumerate(self.residue)))
+
+    def _coerce(self, other: object) -> LaurentScalar | None:
+        if isinstance(other, int):
+            return LaurentScalar.from_int(other)
+        if not isinstance(other, CycElem):
+            return None
         if self.m != other.m:
             raise ValueError("mixed cyclotomic orders")
+        return other._lift()
 
     def __add__(self, other: object) -> CycElem:
-        if isinstance(other, int):
-            other = CycElem.from_int(self.m, other)
-        if not isinstance(other, CycElem):
-            return NotImplemented
-        self._check_compatible(other)
-        n = max(len(self.residue), len(other.residue))
-        res = [0] * n
-        for t, c in enumerate(self.residue):
-            res[t] += c
-        for t, c in enumerate(other.residue):
-            res[t] += c
-        return CycElem(self.m, tuple(res))
+        o = self._coerce(other)
+        return NotImplemented if o is None else specialize(self._lift() + o, self.m)
 
     __radd__ = __add__
 
@@ -131,25 +118,12 @@ class CycElem:
         return CycElem(self.m, tuple(-c for c in self.residue))
 
     def __sub__(self, other: object) -> CycElem:
-        if isinstance(other, int):
-            other = CycElem.from_int(self.m, other)
-        if not isinstance(other, CycElem):
-            return NotImplemented
-        return self + (-other)
+        o = self._coerce(other)
+        return NotImplemented if o is None else specialize(self._lift() - o, self.m)
 
     def __mul__(self, other: object) -> CycElem:
-        if isinstance(other, int):
-            return CycElem(self.m, tuple(other * c for c in self.residue))
-        if not isinstance(other, CycElem):
-            return NotImplemented
-        self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return CycElem.zero(self.m)
-        res = [0] * (len(self.residue) + len(other.residue) - 1)
-        for t1, c1 in enumerate(self.residue):
-            for t2, c2 in enumerate(other.residue):
-                res[t1 + t2] += c1 * c2
-        return CycElem(self.m, tuple(res))
+        o = self._coerce(other)
+        return NotImplemented if o is None else specialize(self._lift() * o, self.m)
 
     __rmul__ = __mul__
 
@@ -171,9 +145,7 @@ class CycElem:
         return all(c % n == 0 for c in self.residue)
 
     def render(self) -> str:
-        if not self.residue:
-            return "0"
-        return LaurentScalar(dict(enumerate(self.residue))).render()
+        return self._lift().render()
 
     def to_json(self) -> dict:
         return {"m": self.m, "residue": list(self.residue)}

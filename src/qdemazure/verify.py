@@ -37,7 +37,7 @@ from .magic import (
 )
 from .polyring import TriPoly, demazure, normalize_index, s_action, sigma, tau, x_var
 from .report import Recorder, VerifyReport
-from .words import xi_oracle, xi_recursive
+from .words import recursion_step, xi_oracle, xi_recursive
 
 
 @dataclass
@@ -159,40 +159,27 @@ def suite_symmetries(bounds: Bounds, jobs: int = 1) -> VerifyReport:
 
 
 def suite_recursions(bounds: Bounds, jobs: int = 1) -> VerifyReport:
-    """The seven length-reducing recursion formulas, evaluated on closed-formula
-    values over the sweep window."""
+    """The seven length-reducing recursion formulas on closed-formula values over
+    the sweep window: each check is xi_formula against the recursion_step that
+    xi_recursive runs, asked of xi_formula."""
     max_len = bounds.len_(12)
     rec = Recorder()
     xi = cf.xi_formula
+
+    def step(label: tuple, a: int, b: int, i: int, k: int) -> None:
+        rec.eq(label, xi(a, b, i, k), recursion_step(xi, a, b, i, k))
+
     for a, b in _abi_range(max_len):
         ell = a + b + 1
         rec.eq(("i2-top-zero", a, b), xi(a, b, 2, ell), ZERO)
-        if a > 0 and b > 0:
-            for k in range(1, ell - 1):
-                rec.eq(
-                    ("i2-step", a, b, k),
-                    xi(a, b, 2, k),
-                    xi(a, b - 1, 3, k) - z_pow(2 * ell - 3 * k - 2) * xi(a, b - 1, 1, k),
-                )
-            for k in range((ell + 1) // 2, ell + 1):
-                total = ZERO
-                for c in range(ell - k, k):
-                    total = total + z_pow(k - 1 - c) * xi(a, b - 1, 2, c)
-                rec.eq(("i1-sum", a, b, k), xi(a, b, 1, k), total)
-            rec.eq(("i2-special", a, b), xi(a, b, 2, ell - 1), xi(a, b - 1, 3, ell - 1))
-        if a > 0 and b == 0:
-            for k in range(1, ell - 1):
-                rec.eq(
-                    ("i2-step-b0", a, k),
-                    xi(a, 0, 2, k),
-                    xi(a - 1, 0, 1, k) - z_pow(ell - 1) * xi(a - 1, 0, 3, k),
-                )
-            for k in range((ell + 1) // 2, ell + 1):
-                total = ZERO
-                for c in range(ell - k, k):
-                    total = total + z_pow(k - 1 - c) * xi(a - 1, 0, 3, c)
-                rec.eq(("i1-sum-b0", a, k), xi(a, 0, 1, k), total)
-            rec.eq(("i2-special-b0", a), xi(a, 0, 2, ell - 1), xi(a - 1, 0, 1, ell - 1))
+        if a == 0:
+            continue
+        tag, key = ("", (a, b)) if b > 0 else ("-b0", (a,))
+        for k in range(1, ell - 1):
+            step(("i2-step" + tag, *key, k), a, b, 2, k)
+        for k in range((ell + 1) // 2, ell + 1):
+            step(("i1-sum" + tag, *key, k), a, b, 1, k)
+        step(("i2-special" + tag, *key), a, b, 2, ell - 1)
     return rec.report("recursions", {"max_len": max_len})
 
 

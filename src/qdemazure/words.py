@@ -9,7 +9,8 @@ a scalar in Z[z^{±1}]; this module computes that scalar two independent ways:
 
 * xi_oracle       -- brute force, one divided-difference operator at a time;
 * xi_recursive    -- structural recursion on (a, b, i, k) through the length-
-                     reducing recursion formulas and the four symmetries.
+                     reducing recursion formulas and the four symmetries,
+                     stated once in recursion_step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentScalar, ZERO, ONE, z_pow
+from .laurent import LaurentScalar, ZERO, ONE, sign, z_pow
 from .polyring import TriPoly, demazure, drop_x123_multiples, normalize_index, check_index
 
 
@@ -105,13 +106,8 @@ def base_case(i: int, k: int) -> LaurentScalar:
 
 
 def xi_recursive(a: int, b: int, i: int, k: int) -> LaurentScalar:
-    """Evaluate the scalar by structural recursion, memoized on (a, b, i, k).
-
-    Dispatch order: base cases; k = 0 normalized to k = l with i-1; the a = 0
-    column folded onto b = 0 through the bar symmetry; i = 3 folded onto i = 2;
-    small k folded onto large k for i = 1; then the length-reducing recursion
-    formulas (plain, b = 0 variants, and the k = l-1 special cases).
-    """
+    """Evaluate the scalar by structural recursion, memoized on (a, b, i, k):
+    the fixed point of recursion_step."""
     ell = a + b + 1
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
@@ -123,23 +119,33 @@ def xi_recursive(a: int, b: int, i: int, k: int) -> LaurentScalar:
 
 @lru_cache(maxsize=None)
 def _xi_recursive(a: int, b: int, i: int, k: int) -> LaurentScalar:
+    return recursion_step(_xi_recursive, a, b, i, k)
+
+
+def recursion_step(xi, a: int, b: int, i: int, k: int) -> LaurentScalar:
+    """One step of the structural recursion at (a, b, i, k), asking xi(a, b, i, k)
+    for every other value it needs; xi_recursive is its fixed point.
+
+    Dispatch order: base cases; k = 0 normalized to k = l with i-1; the a = 0
+    column folded onto b = 0 through the bar symmetry; i = 3 folded onto i = 2;
+    small k folded onto large k for i = 1; then the length-reducing recursion
+    formulas (plain, b = 0 variants, and the k = l-1 special cases).
+    """
     ell = a + b + 1
     if a == 0 and b == 0:
         return _BASE_CASES[(i, k)]
     if k == 0:
-        return _xi_recursive(a, b, normalize_index(i - 1), ell)
+        return xi(a, b, normalize_index(i - 1), ell)
     if a == 0:
-        inner = _xi_recursive(b, 0, normalize_index(-i - 1), ell - k)
-        sign = 1 if ell % 2 == 0 else -1
-        return sign * z_pow(-ell) * inner.bar()
+        return sign(ell) * z_pow(-ell) * xi(b, 0, normalize_index(-i - 1), ell - k).bar()
     if i == 3:
-        return -z_pow(-k) * _xi_recursive(a, b, 2, ell - k)
+        return -z_pow(-k) * xi(a, b, 2, ell - k)
     if i == 1:
         if 2 * k < ell:
-            return -z_pow(2 * k - ell) * _xi_recursive(a, b, 1, ell - k)
+            return -z_pow(2 * k - ell) * xi(a, b, 1, ell - k)
         total = ZERO
         for c in range(ell - k, k):
-            part = _xi_recursive(a, b - 1, 2, c) if b > 0 else _xi_recursive(a - 1, 0, 3, c)
+            part = xi(a, b - 1, 2, c) if b > 0 else xi(a - 1, 0, 3, c)
             total = total + z_pow(k - 1 - c) * part
         return total
     # i == 2
@@ -147,8 +153,8 @@ def _xi_recursive(a: int, b: int, i: int, k: int) -> LaurentScalar:
         return ZERO
     if k == ell - 1:
         if b > 0:
-            return _xi_recursive(a, b - 1, 3, ell - 1)
-        return _xi_recursive(a - 1, 0, 1, ell - 1)
+            return xi(a, b - 1, 3, ell - 1)
+        return xi(a - 1, 0, 1, ell - 1)
     if b > 0:
-        return _xi_recursive(a, b - 1, 3, k) - z_pow(2 * ell - 3 * k - 2) * _xi_recursive(a, b - 1, 1, k)
-    return _xi_recursive(a - 1, 0, 1, k) - z_pow(ell - 1) * _xi_recursive(a - 1, 0, 3, k)
+        return xi(a, b - 1, 3, k) - z_pow(2 * ell - 3 * k - 2) * xi(a, b - 1, 1, k)
+    return xi(a - 1, 0, 1, k) - z_pow(ell - 1) * xi(a - 1, 0, 3, k)

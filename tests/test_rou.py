@@ -24,7 +24,8 @@ def test_cyclotomic_small():
 
 
 def test_cyclotomic_product_reconstructs_xn_minus_1():
-    for n in (6, 12, 30):
+    # 6, 12, 30 and every order 6m that rou-lemmas reaches at m <= 12
+    for n in [6 * m for m in range(1, 13)]:
         prod = [1]
         for d in range(1, n + 1):
             if n % d == 0:

@@ -10,7 +10,7 @@ import pytest
 
 import qdemazure
 from qdemazure.cli import main
-from qdemazure.laurent import ExactDivisionError
+from qdemazure.laurent import ExactDivisionError, z_pow
 from qdemazure.polyring import TriPoly
 from qdemazure.report import Counterexample, VerifyReport
 from qdemazure.verify import Bounds, SUITES, run_suite
@@ -100,10 +100,10 @@ def test_reformed_failure_is_reported_under_optimize():
         magic = importlib.import_module("qdemazure.magic")  # the package re-exports the function
         loop = magic._reformed_partial_sums
 
-        def broken(B, bound, shift, summand, closed_form):
+        def broken(B, shift, summand, closed_form):
             if shift == 1:
-                return loop(B, bound, shift, summand, lambda a: 2 * closed_form(a))
-            return loop(B, bound, shift, summand, closed_form)
+                return loop(B, shift, summand, lambda a: 2 * closed_form(a))
+            return loop(B, shift, summand, closed_form)
 
         magic._reformed_partial_sums = broken
         report = run_suite("telescope", Bounds(max_nu=3))
@@ -128,6 +128,34 @@ def test_truncation_check_can_fail(monkeypatch):
     monkeypatch.setattr(words, "drop_x123_multiples", drops_too_much)
     report = run_suite("formula-vs-oracle", Bounds(max_len=4))
     assert any(c.inputs[0] == "truncation" for c in report.counterexamples)
+
+
+def test_recursion_step_mutation_is_caught(monkeypatch):
+    import qdemazure.words as words
+
+    real = words.recursion_step
+
+    def off_by_z(xi, a, b, i, k):
+        # the i = 2 length-reducing step, times a stray z
+        value = real(xi, a, b, i, k)
+        if i == 2 and a > 0 and 0 < k < a + b:
+            return z_pow(1) * value
+        return value
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qdemazure.") and getattr(module, "recursion_step", None) is real:
+            monkeypatch.setattr(module, "recursion_step", off_by_z)
+    words._xi_recursive.cache_clear()
+    try:
+        labels = {}
+        for suite in ("recursions", "formula-vs-oracle"):
+            report = run_suite(suite, Bounds(max_len=6), jobs=1)
+            labels[suite] = {c.inputs[0] for c in report.counterexamples}
+    finally:
+        words._xi_recursive.cache_clear()
+    assert {"i2-step", "i2-step-b0"} <= labels["recursions"]
+    # the closed formula and the oracle do not run the recursion step
+    assert labels["formula-vs-oracle"] == {"recursion-vs-oracle"}
 
 
 def test_no_assert_in_package():
