@@ -6,7 +6,6 @@ from .laurent import (
     LaurentScalar,
     ONE,
     ZERO,
-    bar,
     exact_div,
     p_pow,
     q_pow,
@@ -18,26 +17,22 @@ from .laurent import (
     z_pow,
 )
 from .polyring import TriPoly, X1, X2, X3, demazure, s_action, sigma, tau, x_var
-from .words import WordABI, base_case, build_word, xi_oracle, xi_recursive
+from .words import base_case, build_word, xi_oracle, xi_recursive
 from .magic import (
     GenSeries,
-    ParityInterval,
     chu_vandermonde_special,
     gen_interval_X,
     gen_interval_Xprime,
     magic,
     magic_genfun,
     magic_genfun_for3,
-    magic_recursion_check,
     magic_symmetry_check,
+    parity_interval,
     reformed_telescope_even_partial_sums,
     reformed_telescope_partial_sums,
-    telescope_check,
     term,
 )
 from .closed_formula import (
-    KlenParams,
-    StandardParams,
     XiFactors,
     factors_standard,
     xi_bzero,

@@ -60,17 +60,17 @@ def _cmd_magic(args) -> int:
 
 
 def _cmd_word(args) -> int:
-    word = build_word(args.a, args.b, args.i)
+    letters = build_word(args.a, args.b, args.i)
     if args.format == "json":
         out = {
             "schema": SCHEMA_VERSION,
             "kind": "word",
             "inputs": {"a": args.a, "b": args.b, "i": args.i},
-            "letters": list(word.letters),
+            "letters": list(letters),
         }
         print(json.dumps(out, sort_keys=True))
     else:
-        print(" ".join(str(c) for c in word.letters))
+        print(" ".join(str(c) for c in letters))
     return 0
 
 

@@ -20,52 +20,6 @@ from .words import base_case
 
 
 @dataclass(frozen=True)
-class StandardParams:
-    """Derived parameters for the standard regime.
-
-    alpha and beta are the rounded-down halves of a-1 and b-1, so that
-    a is 2*alpha+1 or 2*alpha+2 and likewise for b; nu = alpha+beta+2;
-    phi counts the even members of (a, b); ell = a+b+1 = 2*nu-1+phi.
-    """
-
-    a: int
-    b: int
-    alpha: int
-    beta: int
-    nu: int
-    ell: int
-    phi: int
-
-    @classmethod
-    def from_ab(cls, a: int, b: int) -> StandardParams:
-        if a <= 0 or b <= 0:
-            raise ValueError("standard regime needs a, b > 0")
-        alpha = (a - 1) // 2
-        beta = (b - 1) // 2
-        nu = alpha + beta + 2
-        phi = (a % 2 == 0) + (b % 2 == 0)
-        return cls(a, b, alpha, beta, nu, a + b + 1, phi)
-
-
-@dataclass(frozen=True)
-class KlenParams:
-    """Derived parameters for the k = l edge, where alpha is redefined as
-    floor(a/2) (a is 2*alpha or 2*alpha+1) and beta = -1 is allowed at b = 0."""
-
-    a: int
-    b: int
-    alpha: int
-    beta: int
-    ell: int
-
-    @classmethod
-    def from_ab(cls, a: int, b: int) -> KlenParams:
-        if a <= 0 or b < 0:
-            raise ValueError("this edge needs a > 0 and b >= 0")
-        return cls(a, b, a // 2, (b - 1) // 2 if b > 0 else -1, a + b + 1)
-
-
-@dataclass(frozen=True)
 class XiFactors:
     """The named factors of the standard-regime product."""
 
@@ -91,10 +45,17 @@ class XiFactors:
 def factors_standard(a: int, b: int, i: int, k: int) -> XiFactors:
     """All the factors of the standard-regime formula at (a, b, i, k)."""
     check_index(i)
-    p = StandardParams.from_ab(a, b)
-    if not 0 < k < p.ell:
-        raise ValueError(f"k={k} outside the open range 0..{p.ell}")
-    alpha, beta, nu, ell, phi = p.alpha, p.beta, p.nu, p.ell, p.phi
+    if a <= 0 or b <= 0:
+        raise ValueError("standard regime needs a, b > 0")
+    # alpha and beta are the rounded-down halves of a-1 and b-1, so that a is
+    # 2*alpha+1 or 2*alpha+2 and likewise for b; phi counts the even members
+    # of (a, b), and ell = a+b+1 = 2*nu-1+phi.
+    alpha, beta = (a - 1) // 2, (b - 1) // 2
+    nu = alpha + beta + 2
+    ell = a + b + 1
+    phi = (a % 2 == 0) + (b % 2 == 0)
+    if not 0 < k < ell:
+        raise ValueError(f"k={k} outside the open range 0..{ell}")
     a_odd, b_odd = a % 2 == 1, b % 2 == 1
     qm = q_pow(1) - q_pow(-1)
 
@@ -149,12 +110,15 @@ def xi_klen(a: int, b: int, i: int) -> LaurentScalar:
     """The value at k = l for a > 0, b >= 0: zero when b is odd or i = 2, else
     a sign, a power of z, and a single rho_prime factor."""
     check_index(i)
-    p = KlenParams.from_ab(a, b)
+    if a <= 0 or b < 0:
+        raise ValueError("this edge needs a > 0 and b >= 0")
     if b % 2 == 1 or i == 2:
         return ZERO
-    nabla = ONE if i == 1 else -z_pow(-p.ell)
-    zexp = -binom2(p.ell) + binom2(p.beta + 1) + p.ell * (p.beta + 1)
-    return sign(p.beta + p.ell) * nabla * z_pow(zexp) * rho_prime(p.alpha + p.beta + 1)
+    # here alpha is floor(a/2), so a is 2*alpha or 2*alpha+1, and beta = -1 at b = 0
+    alpha, beta, ell = a // 2, (b - 1) // 2 if b > 0 else -1, a + b + 1
+    nabla = ONE if i == 1 else -z_pow(-ell)
+    zexp = -binom2(ell) + binom2(beta + 1) + ell * (beta + 1)
+    return sign(beta + ell) * nabla * z_pow(zexp) * rho_prime(alpha + beta + 1)
 
 
 def xi_bzero(a: int, i: int, k: int) -> LaurentScalar:

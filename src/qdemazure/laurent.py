@@ -131,18 +131,6 @@ class LaurentScalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> LaurentScalar:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -230,10 +218,6 @@ def sign(n: int) -> LaurentScalar:
 def binom2(n: int) -> int:
     """binomial(n, 2); zero for n in {0, 1}."""
     return n * (n - 1) // 2
-
-
-def bar(f: LaurentScalar) -> LaurentScalar:
-    return f.bar()
 
 
 def exact_div(f: LaurentScalar, g: LaurentScalar) -> LaurentScalar:

@@ -15,7 +15,6 @@ in nu, and four telescoping-sum identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import LaurentScalar, ONE, ZERO, binom2, q_pow, qbinom, qnum, sign
@@ -54,34 +53,14 @@ def magic(nu: int, k: int, beta: int, eps: int) -> LaurentScalar:
 # -- generating functions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParityInterval:
+def parity_interval(lo: int, hi: int) -> range:
     """The integers from lo to hi inclusive that share the parity of lo.
 
     Empty when hi < lo.  The endpoints must agree mod 2.
     """
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if (self.hi - self.lo) % 2 != 0:
-            raise ValueError(f"endpoints {self.lo}, {self.hi} differ in parity")
-
-    def is_empty(self) -> bool:
-        return self.hi < self.lo
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(range(self.lo, self.hi + 1, 2))
-
-    def __len__(self) -> int:
-        return 0 if self.is_empty() else (self.hi - self.lo) // 2 + 1
-
-    def __iter__(self):
-        return iter(self.members())
-
-    def __contains__(self, r: int) -> bool:
-        return self.lo <= r <= self.hi and (r - self.lo) % 2 == 0
+    if (hi - lo) % 2 != 0:
+        raise ValueError(f"endpoints {lo}, {hi} differ in parity")
+    return range(lo, hi + 1, 2)
 
 
 def genfun_window(nu: int, k: int, eps: int):
@@ -101,32 +80,32 @@ def _require_window(window, nu: int, k: int, eps: int) -> None:
         raise ValueError(f"k={k} is outside the {window.__name__} window at nu={nu}, eps={eps}")
 
 
-def gen_interval_X(nu: int, k: int, eps: int) -> list[ParityInterval]:
+def gen_interval_X(nu: int, k: int, eps: int) -> list[range]:
     """The two disjoint parity intervals whose product expansion generates
     magic(nu, k, ., eps) for small k (see genfun_window)."""
     _require_window(gen_interval_X, nu, k, eps)
     return [
-        ParityInterval(2 - k, k - 2),
-        ParityInterval(3 * k - 4 * nu - 2 * eps + 2, k - 2 * nu - 2 * eps - 2),
+        parity_interval(2 - k, k - 2),
+        parity_interval(3 * k - 4 * nu - 2 * eps + 2, k - 2 * nu - 2 * eps - 2),
     ]
 
 
-def gen_interval_Xprime(nu: int, k: int, eps: int) -> list[ParityInterval]:
+def gen_interval_Xprime(nu: int, k: int, eps: int) -> list[range]:
     """The large-k counterpart of gen_interval_X."""
     _require_window(gen_interval_Xprime, nu, k, eps)
     return [
-        ParityInterval(2 - k, k - 2 * nu - 2 * eps - 2),
-        ParityInterval(3 * k - 4 * nu - 2 * eps + 2, k - 2),
+        parity_interval(2 - k, k - 2 * nu - 2 * eps - 2),
+        parity_interval(3 * k - 4 * nu - 2 * eps + 2, k - 2),
     ]
 
 
-def xprime_difference(nu: int, k: int, eps: int) -> tuple[ParityInterval, ParityInterval]:
+def xprime_difference(nu: int, k: int, eps: int) -> tuple[range, range]:
     """The set-difference view of gen_interval_Xprime: an outer interval and the
     inner interval removed from it."""
     _require_window(gen_interval_Xprime, nu, k, eps)
     return (
-        ParityInterval(2 - k, k - 2),
-        ParityInterval(k - 2 * nu - 2 * eps, 3 * k - 4 * nu - 2 * eps),
+        parity_interval(2 - k, k - 2),
+        parity_interval(k - 2 * nu - 2 * eps, 3 * k - 4 * nu - 2 * eps),
     )
 
 
@@ -150,14 +129,6 @@ class GenSeries:
         v = value if isinstance(value, LaurentScalar) else LaurentScalar.from_int(value)
         return cls(bound, (v,) + (ZERO,) * bound)
 
-    @classmethod
-    def from_factors(cls, lambdas, bound: int) -> GenSeries:
-        """The truncated product of (1 + q^lambda * x) over the given exponents."""
-        out = cls.constant(bound)
-        for lam in lambdas:
-            out = out.times_linear(ONE, q_pow(lam))
-        return out
-
     def coefficient(self, beta: int) -> LaurentScalar:
         if not 0 <= beta <= self.bound:
             raise ValueError(f"beta={beta} outside 0..{self.bound}")
@@ -177,20 +148,10 @@ class GenSeries:
         return GenSeries(self.bound, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: object) -> GenSeries:
-        if isinstance(other, (LaurentScalar, int)):
-            s = other if isinstance(other, LaurentScalar) else LaurentScalar.from_int(other)
-            return GenSeries(self.bound, tuple(c * s for c in self.coeffs))
-        if isinstance(other, GenSeries):
-            if other.bound != self.bound:
-                raise ValueError("bound mismatch")
-            out = []
-            for b in range(self.bound + 1):
-                acc = ZERO
-                for t in range(b + 1):
-                    acc = acc + self.coeffs[t] * other.coeffs[b - t]
-                out.append(acc)
-            return GenSeries(self.bound, tuple(out))
-        return NotImplemented
+        """Multiply every coefficient by a scalar."""
+        if not isinstance(other, (LaurentScalar, int)):
+            return NotImplemented
+        return GenSeries(self.bound, tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -208,8 +169,11 @@ def _genfun(nu: int, k: int, eps: int, bound: int, shift: int) -> GenSeries:
     window = genfun_window(nu, k, eps)
     if window is None:
         raise ValueError(f"k={k + shift} is outside both generating-function windows")
-    lams = [lam + shift for iv in window(nu, k, eps) for lam in iv]
-    return GenSeries.from_factors(lams, bound)
+    out = GenSeries.constant(bound)
+    for iv in window(nu, k, eps):
+        for lam in iv:
+            out = out.times_linear(ONE, q_pow(lam + shift))
+    return out
 
 
 def magic_genfun(nu: int, k: int, eps: int, bound: int) -> GenSeries:
@@ -275,11 +239,6 @@ def magic_recursion_sides(nu: int, k: int, beta: int, eps: int) -> tuple[Laurent
         * magic(nu - 1, k, beta - 1, eps + 1)
     )
     return lhs, rhs
-
-
-def magic_recursion_check(nu: int, k: int, beta: int, eps: int) -> bool:
-    lhs, rhs = magic_recursion_sides(nu, k, beta, eps)
-    return lhs == rhs
 
 
 # variant -> (l - 2nu, lowest k - nu); the variant holds for lowest k <= k < l
@@ -356,11 +315,6 @@ def telescope_sides(variant: str, nu: int, k: int, beta: int) -> tuple[LaurentSc
         lambda c: magic(nu - 1, c, beta - 1, 0),
     )
     return lhs, rhs
-
-
-def telescope_check(variant: str, nu: int, k: int, beta: int) -> bool:
-    lhs, rhs = telescope_sides(variant, nu, k, beta)
-    return lhs == rhs
 
 
 def _reformed_partial_sums(B: int, shift: int, summand, closed_form) -> list[GenSeries]:

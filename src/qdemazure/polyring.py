@@ -148,12 +148,6 @@ class TriPoly:
                 parts.append(f"{mono} * ({cs})")
         return " + ".join(parts)
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"exponents": list(exps), "coeff": self._terms[exps].to_json()}
-            for exps in sorted(self._terms, key=lambda e: (sum(e), e))
-        ]
-
     def __str__(self) -> str:
         return self.render()
 

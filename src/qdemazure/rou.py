@@ -121,6 +121,10 @@ class CycElem:
         o = self._coerce(other)
         return NotImplemented if o is None else specialize(self._lift() - o, self.m)
 
+    def __rsub__(self, other: object) -> CycElem:
+        o = self._coerce(other)
+        return NotImplemented if o is None else specialize(o - self._lift(), self.m)
+
     def __mul__(self, other: object) -> CycElem:
         o = self._coerce(other)
         return NotImplemented if o is None else specialize(self._lift() * o, self.m)

@@ -306,7 +306,7 @@ def suite_magic_genfun(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                 window = genfun_window(nu, k, eps)
                 if window is None:
                     continue
-                members = [iv.members() for iv in window(nu, k, eps)]
+                members = [tuple(iv) for iv in window(nu, k, eps)]
                 rec.ok(
                     ("disjoint", nu, k, eps),
                     not set(members[0]) & set(members[1]),
@@ -316,8 +316,8 @@ def suite_magic_genfun(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                     outer, removed = xprime_difference(nu, k, eps)
                     rec.ok(
                         ("difference-view", nu, k, eps),
-                        set(removed.members()) <= set(outer.members())
-                        and set(outer.members()) - set(removed.members())
+                        set(removed) <= set(outer)
+                        and set(outer) - set(removed)
                         == set(members[0]) | set(members[1]),
                         "set difference mismatch",
                     )

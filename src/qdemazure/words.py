@@ -15,33 +15,19 @@ a scalar in Z[z^{±1}]; this module computes that scalar two independent ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import LaurentScalar, ZERO, ONE, sign, z_pow
 from .polyring import TriPoly, demazure, drop_x123_multiples, normalize_index, check_index
 
 
-@dataclass(frozen=True)
-class WordABI:
-    """The triple (a, b, i) together with its expanded letter sequence."""
-
-    a: int
-    b: int
-    i: int
-    letters: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-def build_word(a: int, b: int, i: int) -> WordABI:
+def build_word(a: int, b: int, i: int) -> tuple[int, ...]:
     """Construct w(a, b, i): clockwise run of length a up to j, peak j+1, then
     widdershins run of length b from j down to i, where j = i + b - 1 mod 3.
 
-    >>> build_word(3, 5, 2).letters
+    >>> build_word(3, 5, 2)
     (1, 2, 3, 1, 3, 2, 1, 3, 2)
-    >>> build_word(0, 0, 2).letters
+    >>> build_word(0, 0, 2)
     (2,)
     """
     if a < 0 or b < 0:
@@ -51,10 +37,9 @@ def build_word(a: int, b: int, i: int) -> WordABI:
     letters = [normalize_index(j - a + 1 + t) for t in range(a)]
     letters.append(normalize_index(j + 1))
     letters.extend(normalize_index(j - t) for t in range(b))
-    word = WordABI(a, b, i, tuple(letters))
-    if len(word.letters) != a + b + 1 or word.letters[-1] != i:
-        raise RuntimeError(f"build_word({a},{b},{i}) gave {word.letters}")
-    return word
+    if len(letters) != a + b + 1 or letters[-1] != i:
+        raise RuntimeError(f"build_word({a},{b},{i}) gave {letters}")
+    return tuple(letters)
 
 
 def xi_oracle(a: int, b: int, i: int, k: int, truncate: bool = True) -> LaurentScalar:
@@ -69,9 +54,8 @@ def xi_oracle(a: int, b: int, i: int, k: int, truncate: bool = True) -> LaurentS
     ell = a + b + 1
     if not 0 <= k <= ell:
         raise ValueError(f"k={k} out of range 0..{ell}")
-    word = build_word(a, b, i)
     f = TriPoly.monomial((k, ell - k, 0))
-    for letter in reversed(word.letters):
+    for letter in reversed(build_word(a, b, i)):
         f = demazure(letter, f)
         if truncate:
             f = drop_x123_multiples(f)

@@ -1,15 +1,13 @@
 import pytest
 
 from qdemazure.closed_formula import (
-    KlenParams,
-    StandardParams,
     factors_standard,
     xi_bzero,
     xi_formula,
     xi_klen,
     xi_standard,
 )
-from qdemazure.laurent import ONE, ZERO, q_pow, z_pow
+from qdemazure.laurent import ONE, ZERO, q_pow, rho_prime, z_pow
 from qdemazure.magic import magic
 from qdemazure.words import xi_oracle
 
@@ -23,21 +21,31 @@ def all_quadruples(max_len):
                     yield a, b, i, k
 
 
+def standard_params(a, b):
+    """(beta, nu, ell) of the standard regime at (a, b)."""
+    beta = (b - 1) // 2
+    return beta, (a - 1) // 2 + beta + 2, a + b + 1
+
+
 def test_standard_params():
-    p = StandardParams.from_ab(3, 4)
-    assert (p.alpha, p.beta, p.nu, p.ell, p.phi) == (1, 1, 4, 8, 1)
-    assert p.ell == 2 * p.nu - 1 + p.phi
+    # (a, b) = (3, 4): alpha = beta = 1, nu = 4, ell = 8, phi = 1
+    fac = factors_standard(3, 4, 1, 2)
+    assert fac.gamma1 == rho_prime(1) * rho_prime(1)
+    assert fac.gamma3 == magic(4, 2, 1, 0)
+    assert fac.lambda4 == ONE
+    factors_standard(3, 4, 1, 7)
     with pytest.raises(ValueError):
-        StandardParams.from_ab(0, 4)
+        factors_standard(3, 4, 1, 8)
+    with pytest.raises(ValueError):
+        factors_standard(0, 4, 1, 2)
 
 
 def test_klen_params_allows_b_zero():
-    p = KlenParams.from_ab(5, 0)
-    assert (p.alpha, p.beta) == (2, -1)
-    q = KlenParams.from_ab(4, 3)
-    assert (q.alpha, q.beta) == (2, 1)
+    # (5, 0): alpha = 2, beta = -1, ell = 6; (4, 2): alpha = 2, beta = 0, ell = 7
+    assert xi_klen(5, 0, 1) == -z_pow(-15) * rho_prime(2) == xi_oracle(5, 0, 1, 6)
+    assert xi_klen(4, 2, 1) == -z_pow(-14) * rho_prime(3) == xi_oracle(4, 2, 1, 7)
     with pytest.raises(ValueError):
-        KlenParams.from_ab(0, 2)
+        xi_klen(0, 2, 1)
 
 
 def test_factor_table_entries():
@@ -134,25 +142,25 @@ def test_xi_formula_longer_spot_checks():
 def test_gamma3_reflection():
     # gamma3(a,b,1,k) = q^{beta(2k-l)} gamma3(a,b,1,l-k) outside the middle gap
     for a, b in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 4), (4, 3)]:
-        p = StandardParams.from_ab(a, b)
-        eps = p.ell - 2 * p.nu
-        for k in range(1, p.ell):
-            if p.nu <= k <= p.nu + eps or p.nu <= p.ell - k <= p.nu + eps:
+        beta, nu, ell = standard_params(a, b)
+        eps = ell - 2 * nu
+        for k in range(1, ell):
+            if nu <= k <= nu + eps or nu <= ell - k <= nu + eps:
                 continue
             lhs = factors_standard(a, b, 1, k).gamma3
-            rhs = q_pow(p.beta * (2 * k - p.ell)) * factors_standard(a, b, 1, p.ell - k).gamma3
+            rhs = q_pow(beta * (2 * k - ell)) * factors_standard(a, b, 1, ell - k).gamma3
             assert lhs == rhs, (a, b, k)
 
 
 def test_gamma3_reflection_i23_b_even():
     for a, b in [(1, 2), (2, 2), (3, 2), (2, 4)]:
-        p = StandardParams.from_ab(a, b)
-        eps = p.ell - 2 * p.nu  # in {0, 1} since b is even
-        for k in range(1, p.ell - 1):
-            if p.nu <= k <= p.nu + eps - 1:
+        beta, nu, ell = standard_params(a, b)
+        eps = ell - 2 * nu  # in {0, 1} since b is even
+        for k in range(1, ell - 1):
+            if nu <= k <= nu + eps - 1:
                 continue
             lhs = factors_standard(a, b, 2, k).gamma3
-            rhs = q_pow(p.beta * (2 * k - p.ell)) * factors_standard(a, b, 3, p.ell - k).gamma3
+            rhs = q_pow(beta * (2 * k - ell)) * factors_standard(a, b, 3, ell - k).gamma3
             assert lhs == rhs, (a, b, k)
 
 

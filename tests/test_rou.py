@@ -66,6 +66,8 @@ def test_cycelem_arithmetic():
         a + specialize(ONE, 3)
     assert (4 * a).divisible_by(4)
     assert not (4 * a + CycElem.one(2)).divisible_by(4)
+    assert 1 - CycElem.one(3) == CycElem.zero(3)
+    assert 3 - a == -(a - 3)
 
 
 def test_cycelem_constant_hashes_like_its_int():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import qdemazure
 from qdemazure.cli import main
-from qdemazure.laurent import ExactDivisionError, z_pow
+from qdemazure.laurent import ExactDivisionError, q_pow, z_pow
 from qdemazure.polyring import TriPoly
 from qdemazure.report import Counterexample, VerifyReport
 from qdemazure.verify import Bounds, SUITES, run_suite
@@ -156,6 +157,121 @@ def test_recursion_step_mutation_is_caught(monkeypatch):
     assert {"i2-step", "i2-step-b0"} <= labels["recursions"]
     # the closed formula and the oracle do not run the recursion step
     assert labels["formula-vs-oracle"] == {"recursion-vs-oracle"}
+
+
+def _mutate_factors(monkeypatch, mutate):
+    """Patch factors_standard at every module binding so it returns
+    mutate(a, b, i, factors) in place of the real factors."""
+    import qdemazure.closed_formula as cf
+
+    real = cf.factors_standard
+
+    def mutated(a, b, i, k):
+        return mutate(a, b, i, real(a, b, i, k))
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qdemazure.") and getattr(module, "factors_standard", None) is real:
+            monkeypatch.setattr(module, "factors_standard", mutated)
+            patched.add(name)
+    assert patched == {"qdemazure.closed_formula", "qdemazure.rou"}
+
+
+def _counterexample_labels(runs):
+    """suite -> the first label of each counterexample, running each
+    (suite, bounds) serially with a cold recursion cache."""
+    import qdemazure.words as words
+
+    words._xi_recursive.cache_clear()
+    try:
+        return {suite: {c.inputs[0] for c in run_suite(suite, bounds, jobs=1).counterexamples}
+                for suite, bounds in runs}
+    finally:
+        words._xi_recursive.cache_clear()
+
+
+def test_lambda4_mutation_is_caught(monkeypatch):
+    _mutate_factors(monkeypatch, lambda a, b, i, fac: dataclasses.replace(
+        fac, lambda4=fac.lambda4 * z_pow(1)))
+    labels = _counterexample_labels([
+        ("formula-vs-oracle", Bounds(max_len=3)),
+        ("recursions", Bounds(max_len=3)),
+        ("rou-xi", Bounds(max_m=2)),
+    ])
+    # the oracle and the recursion do not use the closed-formula factors
+    assert labels["formula-vs-oracle"] == {"formula-vs-oracle"}
+    assert "i2-step" in labels["recursions"]
+    assert labels["rou-xi"] == {"oracle-vs-formula"}
+
+
+def test_gamma2_mutation_is_caught(monkeypatch):
+    def mutate(a, b, i, fac):
+        if a % 2 == 0 and b % 2 == 0 and i == 3:
+            return dataclasses.replace(fac, gamma2=fac.gamma2 * q_pow(1))
+        return fac
+
+    _mutate_factors(monkeypatch, mutate)
+    labels = _counterexample_labels([
+        ("formula-vs-oracle", Bounds(max_len=5)),
+        ("symmetries", Bounds(max_len=5)),
+        ("recursions", Bounds(max_len=6)),
+        ("rou-lemmas", Bounds(max_m=3)),
+        ("rou-xi", Bounds(max_m=3)),
+    ])
+    assert labels["formula-vs-oracle"] == {"formula-vs-oracle"}
+    assert "k-reflect-23" in labels["symmetries"]
+    assert "i2-step" in labels["recursions"]
+    assert "gamma-block" in labels["rou-lemmas"]
+    assert labels["rou-xi"] == {"oracle-vs-formula"}
+
+
+def test_base_case_mutation_is_caught(monkeypatch):
+    import qdemazure.words as words
+
+    monkeypatch.setitem(words._BASE_CASES, (1, 0), -z_pow(1))
+    labels = _counterexample_labels([
+        ("calibration", Bounds()),
+        ("formula-vs-oracle", Bounds(max_len=1)),
+        ("symmetries", Bounds(max_len=1)),
+    ])
+    assert labels["calibration"] == {"formula-base"}
+    # the closed formula and the recursion share the table; the oracle does not
+    assert labels["formula-vs-oracle"] == {"formula-vs-oracle", "recursion-vs-oracle"}
+    assert labels["symmetries"]
+
+
+def _package_tree(module: str) -> ast.Module:
+    path = Path(qdemazure.__file__).parent / f"{module}.py"
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports(module: str) -> dict[str, set[str]]:
+    """Sibling module -> the names that `module` imports from it ("*" for the
+    whole module)."""
+    out: dict[str, set[str]] = {}
+    for node in ast.walk(_package_tree(module)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qdemazure")):
+            source = (node.module or "").removeprefix("qdemazure").lstrip(".")
+            for alias in node.names:
+                if source:
+                    out.setdefault(source, set()).add(alias.name)
+                else:  # from . import words
+                    out.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("qdemazure."):
+                    out.setdefault(alias.name.removeprefix("qdemazure."), set()).add("*")
+    return out
+
+
+def test_evaluators_are_independent():
+    assert _imports("closed_formula")["words"] == {"base_case"}
+    assert not _imports("words").keys() & {"closed_formula", "magic", "rou"}
+    oracle = next(node for node in ast.walk(_package_tree("words"))
+                  if isinstance(node, ast.FunctionDef) and node.name == "xi_oracle")
+    named = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+    assert not named & {"recursion_step", "_xi_recursive"}
 
 
 def test_no_assert_in_package():

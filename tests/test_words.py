@@ -13,36 +13,36 @@ def all_abi(max_len):
 
 
 def test_build_word_examples():
-    assert build_word(3, 5, 2).letters == (1, 2, 3, 1, 3, 2, 1, 3, 2)
-    assert build_word(0, 0, 2).letters == (2,)
-    assert build_word(0, 0, 1).letters == (1,)
+    assert build_word(3, 5, 2) == (1, 2, 3, 1, 3, 2, 1, 3, 2)
+    assert build_word(0, 0, 2) == (2,)
+    assert build_word(0, 0, 1) == (1,)
     # clockwise word of length a+1 when b = 0, widdershins of length b+1 when a = 0
-    assert build_word(3, 0, 2).letters == (2, 3, 1, 2)
-    assert build_word(0, 3, 2).letters == (2, 1, 3, 2)
+    assert build_word(3, 0, 2) == (2, 3, 1, 2)
+    assert build_word(0, 3, 2) == (2, 1, 3, 2)
 
 
 def test_build_word_long_example():
     # the 12-letter sequence printed for (7,5,1) in the source text belongs to
     # (6,5,1); the definition forces length a+b+1
-    assert build_word(6, 5, 1).letters == (3, 1, 2, 3, 1, 2, 3, 2, 1, 3, 2, 1)
+    assert build_word(6, 5, 1) == (3, 1, 2, 3, 1, 2, 3, 2, 1, 3, 2, 1)
     w751 = build_word(7, 5, 1)
-    assert len(w751.letters) == 13
-    assert w751.letters == (2,) + build_word(6, 5, 1).letters
+    assert len(w751) == 13
+    assert w751 == (2,) + build_word(6, 5, 1)
 
 
 def test_build_word_invariants():
     for a, b, i in all_abi(9):
         w = build_word(a, b, i)
-        assert len(w.letters) == a + b + 1
-        assert w.letters[-1] == i
+        assert len(w) == a + b + 1
+        assert w[-1] == i
         # no letter repeats adjacently (words are reduced)
-        assert all(x != y for x, y in zip(w.letters, w.letters[1:]))
+        assert all(x != y for x, y in zip(w, w[1:]))
 
 
 def test_build_word_parametrization_unique():
     seen = {}
     for a, b, i in all_abi(7):
-        letters = build_word(a, b, i).letters
+        letters = build_word(a, b, i)
         assert letters not in seen, (seen[letters], (a, b, i))
         seen[letters] = (a, b, i)
 
