@@ -7,7 +7,7 @@ of this action sit the degree -1 divided-difference operators
 
     demazure(i, f) = (f - s_i(f)) / (x_i - z*x_{i+1}),
 
-a geometric series on each monomial x_i^a * x_{i+1}^b (see `demazure`), and
+a geometric series on each monomial x_i^a * x_{i+1}^b (see `demazure_terms`), and
 the diagram symmetries sigma (rotation of the indices) and tau (the flip
 1 <-> 3 combined with z -> z^{-1}).
 """
@@ -196,27 +196,38 @@ def tau(f: TriPoly) -> TriPoly:
     return TriPoly({(e[2], e[1], e[0]): c.bar() for e, c in f.terms().items()})
 
 
-def demazure(i: int, f: TriPoly) -> TriPoly:
-    """The divided-difference operator (f - s_i(f)) / (x_i - z*x_{i+1}).
+def demazure_terms(i: int, exps: Exponents):
+    """The terms of demazure(i, x^exps), as (exponents, sign, z-exponent).
 
-    Each term c * x_i^a * x_{i+1}^b * (third variable) maps to the geometric
-    series c * sum_{t<a-b} z^t * x_i^(a-1-t) * x_{i+1}^(b+t) when a > b, to
-    -c * z^(a-b) times the series with a and b swapped when a < b, and to 0
-    when a = b.
+    With a, b the exponents of x_i and x_{i+1}, they are the geometric series
+    z^t * x_i^(a-1-t) * x_{i+1}^(b+t) for t < a-b when a > b, minus z^(a-b)
+    times the series with a and b swapped when a < b, and none when a = b.
+
+    >>> list(demazure_terms(1, (0, 2, 1)))
+    [((1, 0, 1), -1, -2), ((0, 1, 1), -1, -1)]
     """
     check_index(i)
     pos_i = i - 1
     pos_n = normalize_index(i + 1) - 1
+    a, b = exps[pos_i], exps[pos_n]
+    sgn, shift = 1, 0
+    if a < b:
+        a, b, sgn, shift = b, a, -1, a - b
+    new = list(exps)
+    for t in range(a - b):
+        new[pos_i], new[pos_n] = a - 1 - t, b + t
+        yield tuple(new), sgn, shift + t
+
+
+def demazure(i: int, f: TriPoly) -> TriPoly:
+    """The divided-difference operator (f - s_i(f)) / (x_i - z*x_{i+1}),
+    evaluated term by term through demazure_terms."""
+    check_index(i)
     out: dict[Exponents, LaurentScalar] = {}
     for exps, coeff in f.terms().items():
-        a, b = exps[pos_i], exps[pos_n]
-        if a < b:
-            a, b, coeff = b, a, -coeff * z_pow(a - b)
-        new = list(exps)
-        for t in range(a - b):
-            new[pos_i], new[pos_n] = a - 1 - t, b + t
-            key = tuple(new)
-            out[key] = out.get(key, ZERO) + coeff * z_pow(t)
+        for key, sgn, shift in demazure_terms(i, exps):
+            term = coeff * z_pow(shift)
+            out[key] = out.get(key, ZERO) + (term if sgn > 0 else -term)
     return TriPoly(out)
 
 

@@ -7,7 +7,13 @@ length b ending in i.  Applying the corresponding composite divided-difference
 operator to the monomial x1^k * x2^(l-k) of matching degree l = a+b+1 produces
 a scalar in Z[z^{±1}]; this module computes that scalar two independent ways:
 
-* xi_oracle       -- brute force, one divided-difference operator at a time;
+* xi_oracle       -- brute force, by the transposed composition: the constant-
+                     term functional is pulled back through the word one
+                     divided-difference operator at a time, leftmost letter
+                     first, which gives every k of a word in one pass
+                     (_dual_row); ``truncate=False`` pushes each monomial
+                     forward through the operators instead, keeping every
+                     term, as the reference the dual is checked against;
 * xi_recursive    -- structural recursion on (a, b, i, k) through the length-
                      reducing recursion formulas and the four symmetries,
                      stated once in recursion_step.
@@ -18,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .laurent import LaurentScalar, ZERO, ONE, sign, z_pow
-from .polyring import TriPoly, demazure, drop_x123_multiples, normalize_index, check_index
+from .polyring import TriPoly, demazure, demazure_terms, normalize_index, check_index
 
 
 def build_word(a: int, b: int, i: int) -> tuple[int, ...]:
@@ -43,28 +49,64 @@ def build_word(a: int, b: int, i: int) -> tuple[int, ...]:
 
 
 def xi_oracle(a: int, b: int, i: int, k: int, truncate: bool = True) -> LaurentScalar:
-    """Apply the divided-difference operators of w(a, b, i), rightmost letter
-    first, to x1^k * x2^(l-k), and return the resulting scalar.
+    """The scalar of w(a, b, i) on x1^k * x2^(l-k), read from the dual row of
+    the word (_dual_row).
 
-    Terms divisible by x1*x2*x3 are dropped after each step, which is exact
-    because no composite of the operators takes them to a nonzero scalar.
-    ``truncate=False`` keeps them, as the reference the truncated run is
-    checked against.
+    ``truncate=False`` instead applies the divided-difference operators of the
+    word, rightmost letter first, to the monomial and keeps every term: the
+    reference the dual, which drops x1*x2*x3 multiples, is checked against.
     """
     ell = a + b + 1
     if not 0 <= k <= ell:
         raise ValueError(f"k={k} out of range 0..{ell}")
+    if truncate:
+        return _dual_row(a, b, i)[k]
     f = TriPoly.monomial((k, ell - k, 0))
     for letter in reversed(build_word(a, b, i)):
         f = demazure(letter, f)
-        if truncate:
-            f = drop_x123_multiples(f)
     if not f.is_scalar():
         raise RuntimeError(f"xi_oracle({a},{b},{i},{k}) did not reduce to a scalar: {f}")
     value = f.constant_coefficient()
     if not value.is_z_element():
         raise RuntimeError(f"xi_oracle({a},{b},{i},{k}) left the ring Z[z^(+-1)]: {value}")
     return value
+
+
+# Sweeps read every k of one word back to back, while rou-xi reads one k of
+# each long word, so a few rows are enough and more only hold memory.
+@lru_cache(maxsize=3)
+def _dual_row(a: int, b: int, i: int) -> tuple[LaurentScalar, ...]:
+    """xi_oracle(a, b, i, k) for k = 0..l, by the transposed composition.
+
+    With phi_0 the constant term and phi_j(m) = phi_(j-1)(demazure(w_j, m)) for
+    the letters w_j from the leftmost one, the scalar is phi_l(x1^k x2^(l-k)).
+    Each phi_j is tabulated on the degree-j monomials that x1*x2*x3 does not
+    divide, since no composite of the operators takes a multiple of x1*x2*x3
+    to a nonzero scalar; its values stay flat z-exponent -> int dicts.
+    """
+    word = build_word(a, b, i)
+    phi: dict[tuple[int, int, int], dict[int, int]] = {(0, 0, 0): {0: 1}}
+    for deg, letter in enumerate(word, start=1):
+        nxt = {}
+        for m in _x123_free_monomials(deg):
+            acc: dict[int, int] = {}
+            for exps, sgn, shift in demazure_terms(letter, m):
+                for e, c in phi.get(exps, {}).items():
+                    acc[e + shift] = acc.get(e + shift, 0) + sgn * c
+            acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                nxt[m] = acc
+        phi = nxt
+    ell = len(word)
+    # z = p^2: LaurentScalar stores p-exponents
+    return tuple(LaurentScalar({2 * e: c for e, c in phi.get((k, ell - k, 0), {}).items()})
+                 for k in range(ell + 1))
+
+
+def _x123_free_monomials(deg: int) -> list[tuple[int, int, int]]:
+    """The exponent triples of degree deg with a zero entry (3*deg of them for deg >= 1)."""
+    return [(e1, e2, deg - e1 - e2) for e1 in range(deg + 1) for e2 in range(deg + 1 - e1)
+            if min(e1, e2, deg - e1 - e2) == 0]
 
 
 # Values of the length-one operators on degree-one monomials, i.e. the

@@ -12,7 +12,6 @@ import pytest
 import qdemazure
 from qdemazure.cli import main
 from qdemazure.laurent import ExactDivisionError, q_pow, z_pow
-from qdemazure.polyring import TriPoly
 from qdemazure.report import Counterexample, VerifyReport
 from qdemazure.verify import Bounds, SUITES, run_suite
 
@@ -122,12 +121,18 @@ def test_reformed_failure_is_reported_under_optimize():
 def test_truncation_check_can_fail(monkeypatch):
     import qdemazure.words as words
 
-    def drops_too_much(f):
-        # also drops the x3 terms, which can still reach a nonzero scalar
-        return TriPoly({e: c for e, c in f.terms().items() if e[2] == 0})
+    real = words._x123_free_monomials
 
-    monkeypatch.setattr(words, "drop_x123_multiples", drops_too_much)
-    report = run_suite("formula-vs-oracle", Bounds(max_len=4))
+    def drops_too_much(deg):
+        # also drops the x3 terms, which can still reach a nonzero scalar
+        return [e for e in real(deg) if e[2] == 0]
+
+    monkeypatch.setattr(words, "_x123_free_monomials", drops_too_much)
+    words._dual_row.cache_clear()
+    try:
+        report = run_suite("formula-vs-oracle", Bounds(max_len=4), jobs=1)
+    finally:
+        words._dual_row.cache_clear()
     assert any(c.inputs[0] == "truncation" for c in report.counterexamples)
 
 
@@ -267,11 +272,12 @@ def _imports(module: str) -> dict[str, set[str]]:
 def test_evaluators_are_independent():
     assert _imports("closed_formula")["words"] == {"base_case"}
     assert not _imports("words").keys() & {"closed_formula", "magic", "rou"}
-    oracle = next(node for node in ast.walk(_package_tree("words"))
-                  if isinstance(node, ast.FunctionDef) and node.name == "xi_oracle")
-    named = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
-    assert not named & {"recursion_step", "_xi_recursive"}
+    for fn in ("xi_oracle", "_dual_row", "_x123_free_monomials"):
+        tree = next(node for node in ast.walk(_package_tree("words"))
+                    if isinstance(node, ast.FunctionDef) and node.name == fn)
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not named & {"recursion_step", "_xi_recursive"}, fn
 
 
 def test_no_assert_in_package():
@@ -395,6 +401,12 @@ def test_cli_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def test_package_runs_as_module():
+    proc = _python("-m", "qdemazure", "verify", "calibration", capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "calibration" in proc.stdout
 
 
 def test_cli_verify_pass_and_report_file(tmp_path, capsys):
