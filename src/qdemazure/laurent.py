@@ -7,6 +7,14 @@ because the p-exponent of every quantity in this package is an integer while
 the corresponding q- or z-exponent need not be.  Coefficients are Python ints,
 hence arbitrary precision.
 
+A scalar never stores a zero coefficient.  The public constructor filters them
+out; results that are zero-free by construction (a product with a monomial, a
+negation, `bar`, the nonzero slots of a dense product) are wrapped without that
+copy.  Multiplication is one pure-Python kernel with three paths: a shift when
+an operand is a monomial, dense rows of coefficients on the common exponent
+stride when both operands are large and packed, and the plain double loop for
+everything else (see `LaurentScalar.__mul__`).
+
 This module also provides the quantum-number toolkit built on top of that
 ring: balanced quantum numbers [k], quantum factorials, quantum binomial
 coefficients, and the products rho / rho_prime of quantum-integer factors.
@@ -15,7 +23,16 @@ coefficients, and the products rho / rho_prime of quantum-integer factors.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, repeat
+from math import gcd
+from operator import add, mul, sub
 from typing import Mapping
+
+# The product kernel lays the longer operand out densely once the shorter one
+# has this many terms (the measured crossover against the dict loop), unless a
+# dense row would hold more than _DENSE_MAX_SPREAD slots per stored term.
+_DENSE_MIN_TERMS = 16
+_DENSE_MAX_SPREAD = 3
 
 
 class ExactDivisionError(ArithmeticError):
@@ -51,6 +68,14 @@ class LaurentScalar:
         self._hash: int | None = None
 
     @classmethod
+    def _wrap(cls, coeffs: dict[int, int]) -> LaurentScalar:
+        """Take ownership of a dict already free of zero coefficients, without copying it."""
+        out = object.__new__(cls)
+        out._coeffs = coeffs
+        out._hash = None
+        return out
+
+    @classmethod
     def from_int(cls, n: int) -> LaurentScalar:
         return cls({0: n})
 
@@ -76,7 +101,7 @@ class LaurentScalar:
         >>> (p_pow(3) - p_pow(-1)).bar()
         LaurentScalar('p^-3 - p')
         """
-        return LaurentScalar({-e: c for e, c in self._coeffs.items()})
+        return LaurentScalar._wrap({-e: c for e, c in self._coeffs.items()})
 
     def at_one(self) -> int:
         """Specialize p -> 1 (the sum of the coefficients)."""
@@ -104,7 +129,7 @@ class LaurentScalar:
     __radd__ = __add__
 
     def __neg__(self) -> LaurentScalar:
-        return LaurentScalar({e: -c for e, c in self._coeffs.items()})
+        return LaurentScalar._wrap({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: object) -> LaurentScalar:
         o = self._coerce(other)
@@ -119,12 +144,46 @@ class LaurentScalar:
         return o + (-self)
 
     def __mul__(self, other: object) -> LaurentScalar:
+        """The product, by whichever of three paths suits the operands.
+
+        - One operand is a monomial c0*p^e0: shift and scale the other one.
+          Nonzero ints have a nonzero product, so nothing needs filtering.
+        - The shorter operand has at least _DENSE_MIN_TERMS terms and both
+          sit densely on their common exponent stride g (the q-polynomials
+          sit on g = 6): lay the longer one out as a row of coefficients on
+          that stride and add one scaled copy of the row per term of the
+          shorter one into an accumulator, then keep its nonzero slots.
+        - Otherwise (small or sparse operands): the plain double loop.
+
+        >>> (1 + p_pow(6)) * (1 - p_pow(6))
+        LaurentScalar('1 - p^12')
+        """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        short, long = self._coeffs, o._coeffs
+        if len(short) > len(long):
+            short, long = long, short
+        if len(short) == 1:
+            ((e0, c0),) = short.items()
+            return LaurentScalar._wrap({e + e0: c * c0 for e, c in long.items()})
+        if len(short) >= _DENSE_MIN_TERMS:
+            s_min, l_min, l_max = min(short), min(long), max(long)
+            g = gcd(*map(sub, short, repeat(s_min)), *map(sub, long, repeat(l_min)))
+            s_span, width = (max(short) - s_min) // g + 1, (l_max - l_min) // g + 1
+            if s_span <= _DENSE_MAX_SPREAD * len(short) and width <= _DENSE_MAX_SPREAD * len(long):
+                row = list(map(long.get, range(l_min, l_max + 1, g), repeat(0)))
+                acc = [0] * (s_span + width - 1)
+                for e, c in short.items():
+                    i = (e - s_min) // g
+                    j = i + width
+                    acc[i:j] = map(add, acc[i:j], map(mul, row, repeat(c)))
+                base = s_min + l_min
+                slots = range(base, base + g * len(acc), g)
+                return LaurentScalar._wrap(dict(compress(zip(slots, acc), acc)))
         out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in o._coeffs.items():
+        for e1, c1 in short.items():
+            for e2, c2 in long.items():
                 k = e1 + e2
                 out[k] = out.get(k, 0) + c1 * c2
         return LaurentScalar(out)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdemazure.laurent import (
+    _DENSE_MAX_SPREAD,
+    _DENSE_MIN_TERMS,
     ONE,
     ZERO,
     ExactDivisionError,
@@ -63,6 +65,155 @@ def test_ring_axioms(f, g, h):
     assert f * g == g * f
     assert (f + g) * h == f * h + g * h
     assert (f * g) * h == f * (g * h)
+
+
+# -- the product kernel against a plain reference ------------------------------
+#
+# Each strategy below builds operands that meet the preconditions of one path
+# of LaurentScalar.__mul__: a one-term operand (the shift), two operands with
+# at least _DENSE_MIN_TERMS terms packed on a common stride (the dense rows),
+# or operands too small or too spread out for a dense row (the double loop).
+
+
+def _ref_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _coeffs(x) -> dict:
+    if isinstance(x, int):
+        return {0: x} if x else {}
+    return x.coefficients()
+
+
+def _assert_product(f, g):
+    want = _ref_mul(_coeffs(f), _coeffs(g))
+    for got in (f * g, g * f):
+        assert got.coefficients() == want
+        assert 0 not in got.coefficients().values()
+
+
+coefs = st.integers(-(2**70), 2**70).filter(bool) | st.integers(-3, 3).filter(bool)
+monomials = st.builds(lambda e, c: LaurentScalar({e: c}), st.integers(-60, 60), coefs)
+
+
+@st.composite
+def dense_scalars(draw, stride=None):
+    """At least _DENSE_MIN_TERMS terms on one stride, at most a third of the slots empty."""
+    g = draw(st.sampled_from((1, 2, 3, 6))) if stride is None else stride
+    width = draw(st.integers(_DENSE_MIN_TERMS, 2 * _DENSE_MIN_TERMS))
+    offset = draw(st.integers(-40, 40))
+    scale = draw(coefs)
+    cs = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=width, max_size=width))
+    holes = draw(st.sets(st.integers(1, width - 2), max_size=width // 3))
+    return LaurentScalar({offset + g * t: c * scale for t, c in enumerate(cs) if t not in holes})
+
+
+@st.composite
+def sparse_wide_scalars(draw):
+    """At least _DENSE_MIN_TERMS terms spread too thin for a dense row."""
+    n = draw(st.integers(_DENSE_MIN_TERMS, 2 * _DENSE_MIN_TERMS))
+    exps = draw(st.sets(st.integers(-5000, 5000), min_size=n, max_size=n))
+    if max(exps) - min(exps) < _DENSE_MAX_SPREAD * n:
+        exps.add(min(exps) + 10 * _DENSE_MAX_SPREAD * n)
+    scale = draw(coefs)
+    return LaurentScalar({e: scale * (1 + t % 3) for t, e in enumerate(sorted(exps))})
+
+
+any_scalars = scalars | monomials | dense_scalars() | sparse_wide_scalars() | st.just(ZERO)
+
+
+@given(monomials, any_scalars | st.integers(-9, 9))
+@settings(max_examples=50)
+def test_mul_monomial_shift(f, g):
+    _assert_product(f, g)
+
+
+@given(monomials, monomials)
+@settings(max_examples=50)
+def test_mul_monomial_by_monomial(f, g):
+    _assert_product(f, g)
+
+
+@given(any_scalars, st.integers(-(2**70), 2**70) | st.integers(-2, 2))
+@settings(max_examples=50)
+def test_mul_by_int_and_by_zero(f, n):
+    _assert_product(f, n)
+    _assert_product(f, 0)
+    _assert_product(f, ZERO)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 6])
+@given(data=st.data())
+@settings(max_examples=20)
+def test_mul_dense_rows_on_one_stride(stride, data):
+    _assert_product(data.draw(dense_scalars(stride)), data.draw(dense_scalars(stride)))
+
+
+@given(dense_scalars(), dense_scalars())
+@settings(max_examples=50)
+def test_mul_dense_rows_on_mixed_strides(f, g):
+    _assert_product(f, g)
+
+
+@given(sparse_wide_scalars(), dense_scalars() | sparse_wide_scalars())
+@settings(max_examples=30)
+def test_mul_sparse_fallback(f, g):
+    _assert_product(f, g)
+
+
+@given(scalars, scalars)
+@settings(max_examples=50)
+def test_mul_small_operands(f, g):
+    _assert_product(f, g)
+
+
+@given(dense_scalars(), st.integers(1, 3 * _DENSE_MIN_TERMS), st.sampled_from((1, 2, 6)))
+@settings(max_examples=30)
+def test_mul_dense_cancellation_stores_no_zero(c, n, g):
+    """(1 + x + ... + x^(N-1)) * ((1 - x) c) = (1 - x^N) c with x = p^g: the slots between c and x^N c cancel."""
+    ones = LaurentScalar({g * t: 1 for t in range(n + _DENSE_MIN_TERMS)})
+    _assert_product(ones, (ONE - p_pow(g)) * c)
+
+
+@given(any_scalars, any_scalars)
+@settings(max_examples=50)
+def test_add_matches_reference(f, g):
+    assert (f + g).coefficients() == _ref_add(f.coefficients(), g.coefficients())
+    assert (f - f).coefficients() == {}
+
+
+def test_mul_and_add_match_sympy():
+    """The same products and sums through sympy.Poly, exponents shifted to be nonnegative."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def poly(h):
+        shift = min(h.coefficients(), default=0)
+        terms = {(e - shift,): c for e, c in h.coefficients().items()}
+        return sympy.Poly.from_dict(terms or {(0,): 0}, x), shift
+
+    @given(any_scalars, any_scalars)
+    @settings(max_examples=25, deadline=None)
+    def check(f, g):
+        (pf, sf), (pg, sg) = poly(f), poly(g)
+        got = {k + sf + sg: int(c) for (k,), c in (pf * pg).as_dict().items() if c}
+        assert (f * g).coefficients() == got
+        lo = min(sf, sg)
+        total = pf * x ** (sf - lo) + pg * x ** (sg - lo)
+        assert (f + g).coefficients() == {k + lo: int(c) for (k,), c in total.as_dict().items() if c}
+
+    check()
 
 
 def test_qnum_examples():

@@ -409,6 +409,20 @@ def test_package_runs_as_module():
     assert "calibration" in proc.stdout
 
 
+def test_sweeps_never_import_numpy():
+    """The ring stays pure Python: numpy alone would double a sweep's peak memory."""
+    script = textwrap.dedent("""
+        import sys
+        from qdemazure.cli import main
+        codes = [main(["verify", "magic-recursion", "--max-nu", "6"]),
+                 main(["verify", "recursions", "--max-len", "8"])]
+        print(codes, "numpy" in sys.modules, file=sys.stderr)
+    """)
+    proc = _python("-c", script, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[0, 0] False"
+
+
 def test_cli_verify_pass_and_report_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "calibration", "--format", "json", "--out", str(out)])
