@@ -114,20 +114,22 @@ def dense_scalars(draw, stride=None):
     width = draw(st.integers(_DENSE_MIN_TERMS, 2 * _DENSE_MIN_TERMS))
     offset = draw(st.integers(-40, 40))
     scale = draw(coefs)
-    cs = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=width, max_size=width))
-    holes = draw(st.sets(st.integers(1, width - 2), max_size=width // 3))
-    return LaurentScalar({offset + g * t: c * scale for t, c in enumerate(cs) if t not in holes})
+    rnd = draw(st.randoms(use_true_random=False))
+    holes = rnd.sample(range(1, width - 1), rnd.randint(0, width // 3))
+    return LaurentScalar({offset + g * t: rnd.choice((-5, -2, -1, 1, 3)) * scale
+                          for t in range(width) if t not in holes})
 
 
 @st.composite
 def sparse_wide_scalars(draw):
     """At least _DENSE_MIN_TERMS terms spread too thin for a dense row."""
     n = draw(st.integers(_DENSE_MIN_TERMS, 2 * _DENSE_MIN_TERMS))
-    exps = draw(st.sets(st.integers(-5000, 5000), min_size=n, max_size=n))
-    if max(exps) - min(exps) < _DENSE_MAX_SPREAD * n:
-        exps.add(min(exps) + 10 * _DENSE_MAX_SPREAD * n)
     scale = draw(coefs)
-    return LaurentScalar({e: scale * (1 + t % 3) for t, e in enumerate(sorted(exps))})
+    rnd = draw(st.randoms(use_true_random=False))
+    exps = rnd.sample(range(-5000, 5000), n)
+    if max(exps) - min(exps) < _DENSE_MAX_SPREAD * n:
+        exps.append(min(exps) + 10 * _DENSE_MAX_SPREAD * n)
+    return LaurentScalar({e: scale * rnd.choice((-2, 1, 3)) for e in exps})
 
 
 any_scalars = scalars | monomials | dense_scalars() | sparse_wide_scalars() | st.just(ZERO)
