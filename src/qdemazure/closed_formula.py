@@ -11,7 +11,7 @@ what certifies every branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .laurent import LaurentScalar, ONE, ZERO, binom2, p_pow, q_pow, qnum, rho_prime, sign, z_pow
 from .magic import magic
@@ -36,10 +36,16 @@ class XiFactors:
     lambda5: LaurentScalar
 
     def product(self) -> LaurentScalar:
+        """Fold the eight single-term factors into one monomial, then multiply
+        by gamma2, gamma1 and gamma3, so the large product is shifted once."""
         out = ONE
-        for f in fields(self):
-            out = out * getattr(self, f.name)
+        for name in _PRODUCT_ORDER:
+            out = out * getattr(self, name)
         return out
+
+
+_PRODUCT_ORDER = ("mu", "kappa1", "kappa2", "lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
+                  "gamma2", "gamma1", "gamma3")
 
 
 def factors_standard(a: int, b: int, i: int, k: int) -> XiFactors:

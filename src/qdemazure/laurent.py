@@ -9,11 +9,13 @@ hence arbitrary precision.
 
 A scalar never stores a zero coefficient.  The public constructor filters them
 out; results that are zero-free by construction (a product with a monomial, a
-negation, `bar`, the nonzero slots of a dense product) are wrapped without that
-copy.  Multiplication is one pure-Python kernel with three paths: a shift when
-an operand is a monomial, dense rows of coefficients on the common exponent
-stride when both operands are large and packed, and the plain double loop for
-everything else (see `LaurentScalar.__mul__`).
+negation, `bar`, the nonzero slots of a dense product, a sum or difference that
+deletes each key as it cancels) are wrapped without that copy, and `lsum` adds
+any number of scalars into one dict.  Multiplication is one pure-Python kernel
+with three paths: a shift when an operand is a monomial, dense rows of
+coefficients on the common exponent stride when both operands are large and
+packed, and the plain double loop for everything else (see
+`LaurentScalar.__mul__`).
 
 This module also provides the quantum-number toolkit built on top of that
 ring: balanced quantum numbers [k], quantum factorials, quantum binomial
@@ -26,7 +28,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
 from operator import add, mul, sub
-from typing import Mapping
+from typing import Iterable, Mapping
 
 # The product kernel lays the longer operand out densely once the shorter one
 # has this many terms (the measured crossover against the dict loop), unless a
@@ -121,10 +123,7 @@ class LaurentScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in o._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentScalar(out)
+        return lsum((self, o))
 
     __radd__ = __add__
 
@@ -135,13 +134,13 @@ class LaurentScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _difference(self, o)
 
     def __rsub__(self, other: object) -> LaurentScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _difference(o, self)
 
     def __mul__(self, other: object) -> LaurentScalar:
         """The product, by whichever of three paths suits the operands.
@@ -253,6 +252,36 @@ class LaurentScalar:
 
 ZERO = LaurentScalar({})
 ONE = LaurentScalar({0: 1})
+
+
+def _accumulate(out: dict[int, int], coeffs: Mapping[int, int], op=add) -> dict[int, int]:
+    """Fold coeffs into out with op (add or sub), deleting each key that cancels."""
+    for e, c in coeffs.items():
+        s = op(out.get(e, 0), c)
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def lsum(scalars: Iterable[LaurentScalar]) -> LaurentScalar:
+    """The sum of the scalars, accumulated in one dict; ZERO when there are none.
+
+    >>> lsum([p_pow(1), 2 * p_pow(3), -p_pow(1)])
+    LaurentScalar('2*p^3')
+    >>> lsum([]) == ZERO
+    True
+    """
+    it = iter(scalars)
+    out = dict(next(it, ZERO)._coeffs)
+    for f in it:
+        _accumulate(out, f._coeffs)
+    return LaurentScalar._wrap(out)
+
+
+def _difference(f: LaurentScalar, g: LaurentScalar) -> LaurentScalar:
+    return LaurentScalar._wrap(_accumulate(dict(f._coeffs), g._coeffs, sub))
 
 
 def p_pow(n: int) -> LaurentScalar:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .laurent import LaurentScalar, ONE, ZERO, binom2, q_pow, qbinom, qnum, sign
+from .laurent import LaurentScalar, ONE, ZERO, binom2, lsum, q_pow, qbinom, qnum, sign
 
 
 def _check_eps(eps: int) -> int:
@@ -31,7 +31,7 @@ def term(nu: int, k: int, beta: int, eps: int, j: int) -> LaurentScalar:
     _check_eps(eps)
     if j < 0 or j > beta:
         return ZERO
-    return qbinom(k - 1, beta - j) * qbinom(nu - k - 1, j) * q_pow(j * (-3 * nu + 2 * k - 2 * eps))
+    return qbinom(k - 1, beta - j) * (qbinom(nu - k - 1, j) * q_pow(j * (-3 * nu + 2 * k - 2 * eps)))
 
 
 @lru_cache(maxsize=None)
@@ -44,10 +44,7 @@ def magic(nu: int, k: int, beta: int, eps: int) -> LaurentScalar:
     True
     """
     _check_eps(eps)
-    total = ZERO
-    for j in range(0, beta + 1):
-        total = total + term(nu, k, beta, eps, j)
-    return total
+    return lsum(term(nu, k, beta, eps, j) for j in range(0, beta + 1))
 
 
 # -- generating functions ----------------------------------------------------
@@ -263,10 +260,7 @@ def telescope_sides(variant: str, nu: int, k: int, beta: int) -> tuple[LaurentSc
     sgn_k = sign(k)
 
     def rhs_sum(ell, weight, mag):
-        total = ZERO
-        for c in range(ell - k, k):
-            total = total + sign(c) * weight(c) * mag(c)
-        return total
+        return lsum(sign(c) * weight(c) * mag(c) for c in range(ell - k, k))
 
     if variant == "sum":
         lhs = sgn_k * (q_pow(-2 * k) - q_pow(-2 * nu)) * magic(nu, k, beta, 0) * q_pow(k * (k - beta - ell + 1))

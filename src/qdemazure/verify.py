@@ -18,7 +18,7 @@ from math import comb
 
 from . import closed_formula as cf
 from . import rou
-from .laurent import ONE, ZERO, LaurentScalar, exact_div, q_pow, qbinom, sign, z_pow
+from .laurent import ONE, ZERO, LaurentScalar, exact_div, lsum, q_pow, qbinom, sign, z_pow
 from .magic import (
     TELESCOPE_WINDOWS,
     chu_vandermonde_special,
@@ -73,6 +73,14 @@ def _abi_range(max_len: int):
             yield a, ell - 1 - a
 
 
+def _formula_layer(ell: int) -> dict[tuple[int, int, int, int], LaurentScalar]:
+    """The closed formula at every (a, b, i, k) of length ell = a+b+1, keyed by
+    that quadruple: the formula sweeps go one length at a time and read each
+    value from here, so none is computed twice."""
+    return {(a, ell - 1 - a, i, k): cf.xi_formula(a, ell - 1 - a, i, k)
+            for a in range(ell) for i in (1, 2, 3) for k in range(ell + 1)}
+
+
 # -- suite: operator relations -------------------------------------------------
 
 
@@ -121,36 +129,33 @@ def _mono_key(f: TriPoly) -> tuple:
 def suite_symmetries(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_len = bounds.len_(12)
     rec = Recorder()
-    for a, b in _abi_range(max_len):
-        ell = a + b + 1
-        for k in range(ell + 1):
-            rec.eq(
-                ("k-reflect-1", a, b, k),
-                cf.xi_formula(a, b, 1, k),
-                -z_pow(2 * k - ell) * cf.xi_formula(a, b, 1, ell - k),
-            )
-            rec.eq(
-                ("k-reflect-23", a, b, k),
-                cf.xi_formula(a, b, 2, k),
-                -z_pow(ell - k) * cf.xi_formula(a, b, 3, ell - k),
-            )
-        for i in (1, 2, 3):
-            rec.eq(
-                ("rotate", a, b, i),
-                cf.xi_formula(a, b, i, ell),
-                cf.xi_formula(a, b, normalize_index(i + 1), 0),
-            )
-        if ell % 2 == 0:
-            rec.eq(("midpoint-zero", a, b), cf.xi_formula(a, b, 1, ell // 2), ZERO)
-    for c in range(max_len):
-        ell = c + 1
+    for ell in range(1, max_len + 1):
+        xi = _formula_layer(ell)
+        for a in range(ell):
+            b = ell - 1 - a
+            for k in range(ell + 1):
+                rec.eq(
+                    ("k-reflect-1", a, b, k),
+                    xi[a, b, 1, k],
+                    -z_pow(2 * k - ell) * xi[a, b, 1, ell - k],
+                )
+                rec.eq(
+                    ("k-reflect-23", a, b, k),
+                    xi[a, b, 2, k],
+                    -z_pow(ell - k) * xi[a, b, 3, ell - k],
+                )
+            for i in (1, 2, 3):
+                rec.eq(("rotate", a, b, i), xi[a, b, i, ell], xi[a, b, normalize_index(i + 1), 0])
+            if ell % 2 == 0:
+                rec.eq(("midpoint-zero", a, b), xi[a, b, 1, ell // 2], ZERO)
+        c = ell - 1
         sgn = sign(ell)
         for i in (1, 2, 3):
             for k in range(ell + 1):
                 rec.eq(
                     ("bar-flip", c, i, k),
-                    cf.xi_formula(c, 0, i, k).bar(),
-                    sgn * z_pow(ell) * cf.xi_formula(0, c, normalize_index(-i - 1), ell - k),
+                    xi[c, 0, i, k].bar(),
+                    sgn * z_pow(ell) * xi[0, c, normalize_index(-i - 1), ell - k],
                 )
     return rec.report("symmetries", {"max_len": max_len})
 
@@ -161,25 +166,33 @@ def suite_symmetries(bounds: Bounds, jobs: int = 1) -> VerifyReport:
 def suite_recursions(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     """The seven length-reducing recursion formulas on closed-formula values over
     the sweep window: each check is xi_formula against the recursion_step that
-    xi_recursive runs, asked of xi_formula."""
+    xi_recursive runs, asked of xi_formula.  A step at length l reads values of
+    lengths l and l-1 only, so the sweep keeps two layers of values."""
     max_len = bounds.len_(12)
     rec = Recorder()
-    xi = cf.xi_formula
+    values: dict = {}
+
+    def xi(a: int, b: int, i: int, k: int) -> LaurentScalar:
+        return values[a, b, i, k]
 
     def step(label: tuple, a: int, b: int, i: int, k: int) -> None:
         rec.eq(label, xi(a, b, i, k), recursion_step(xi, a, b, i, k))
 
-    for a, b in _abi_range(max_len):
-        ell = a + b + 1
-        rec.eq(("i2-top-zero", a, b), xi(a, b, 2, ell), ZERO)
-        if a == 0:
-            continue
-        tag, key = ("", (a, b)) if b > 0 else ("-b0", (a,))
-        for k in range(1, ell - 1):
-            step(("i2-step" + tag, *key, k), a, b, 2, k)
-        for k in range((ell + 1) // 2, ell + 1):
-            step(("i1-sum" + tag, *key, k), a, b, 1, k)
-        step(("i2-special" + tag, *key), a, b, 2, ell - 1)
+    for ell in range(1, max_len + 1):
+        layer = _formula_layer(ell)
+        values.update(layer)
+        for a in range(ell):
+            b = ell - 1 - a
+            rec.eq(("i2-top-zero", a, b), xi(a, b, 2, ell), ZERO)
+            if a == 0:
+                continue
+            tag, key = ("", (a, b)) if b > 0 else ("-b0", (a,))
+            for k in range(1, ell - 1):
+                step(("i2-step" + tag, *key, k), a, b, 2, k)
+            for k in range((ell + 1) // 2, ell + 1):
+                step(("i1-sum" + tag, *key, k), a, b, 1, k)
+            step(("i2-special" + tag, *key), a, b, 2, ell - 1)
+        values = layer  # let length ell-1 go before building ell+1
     return rec.report("recursions", {"max_len": max_len})
 
 
@@ -227,10 +240,7 @@ def _run_units(fn, units, jobs: int):
 
 
 def _from_q_terms(terms: list[tuple[int, int]]) -> LaurentScalar:
-    out = ZERO
-    for coeff, exp in terms:
-        out = out + coeff * q_pow(exp)
-    return out
+    return lsum(coeff * q_pow(exp) for coeff, exp in terms)
 
 
 MAGIC_GOLDEN_843 = _from_q_terms(
@@ -368,9 +378,8 @@ def suite_chu_vandermonde(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     for M in range(0, 13):
         for N in range(0, 13 - M):
             for beta in range(M + N + 1):
-                total = ZERO
-                for j in range(beta + 1):
-                    total = total + qbinom(M, beta - j) * qbinom(N, j) * q_pow(j * (M + N))
+                total = lsum(qbinom(M, beta - j) * qbinom(N, j) * q_pow(j * (M + N))
+                             for j in range(beta + 1))
                 rec.eq(("convolution", M, N, beta), total, q_pow(N * beta) * qbinom(M + N, beta))
     return rec.report("chu-vandermonde", {"max_nu": max_nu})
 
@@ -461,13 +470,9 @@ def suite_q1_degeneration(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                 for beta in range(nu + 1):
                     rec.eq(("magic-at-one", nu, k, beta, eps),
                            magic(nu, k, beta, eps).at_one(), comb(nu - 2, beta))
-    for a, b in _abi_range(max_len):
-        ell = a + b + 1
-        if ell < 4:
-            continue
-        for i in (1, 2, 3):
-            for k in range(ell + 1):
-                rec.eq(("xi-at-one", a, b, i, k), cf.xi_formula(a, b, i, k).at_one(), 0)
+    for ell in range(4, max_len + 1):
+        for key, value in _formula_layer(ell).items():
+            rec.eq(("xi-at-one", *key), value.at_one(), 0)
     return rec.report("q1-degeneration", {"max_nu": max_nu, "max_len": max_len})
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .laurent import LaurentScalar, ZERO, ONE, sign, z_pow
+from .laurent import LaurentScalar, ZERO, ONE, lsum, sign, z_pow
 from .polyring import TriPoly, demazure, demazure_terms, normalize_index, check_index
 
 
@@ -169,11 +169,8 @@ def recursion_step(xi, a: int, b: int, i: int, k: int) -> LaurentScalar:
     if i == 1:
         if 2 * k < ell:
             return -z_pow(2 * k - ell) * xi(a, b, 1, ell - k)
-        total = ZERO
-        for c in range(ell - k, k):
-            part = xi(a, b - 1, 2, c) if b > 0 else xi(a - 1, 0, 3, c)
-            total = total + z_pow(k - 1 - c) * part
-        return total
+        return lsum(z_pow(k - 1 - c) * (xi(a, b - 1, 2, c) if b > 0 else xi(a - 1, 0, 3, c))
+                    for c in range(ell - k, k))
     # i == 2
     if k == ell:
         return ZERO

@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 
 from qdemazure.closed_formula import (
+    _PRODUCT_ORDER,
+    XiFactors,
     factors_standard,
     xi_bzero,
     xi_formula,
@@ -63,6 +67,20 @@ def test_factor_table_entries():
 def test_full_product_small_case():
     assert factors_standard(1, 1, 1, 2).product() == ONE
     assert xi_standard(1, 1, 1, 2) == xi_oracle(1, 1, 1, 2) == ONE
+
+
+def test_product_folds_single_terms_first_and_every_factor_once():
+    names = [f.name for f in dataclasses.fields(XiFactors)]
+    assert sorted(_PRODUCT_ORDER) == sorted(names)
+    for a, b, i, k in all_quadruples(7):
+        if a == 0 or b == 0 or not 0 < k < a + b + 1:
+            continue
+        fac = factors_standard(a, b, i, k)
+        assert all(len(getattr(fac, n).coefficients()) == 1 for n in _PRODUCT_ORDER[:8])
+        want = ONE
+        for n in names:
+            want = want * getattr(fac, n)
+        assert fac.product() == want
 
 
 def test_factors_reject_out_of_regime():

@@ -14,6 +14,7 @@ from qdemazure.laurent import (
     LaurentScalar,
     binom2,
     exact_div,
+    lsum,
     p_pow,
     q_pow,
     qbinom,
@@ -195,6 +196,41 @@ def test_add_matches_reference(f, g):
     assert (f - f).coefficients() == {}
 
 
+def _ref_neg(f: dict) -> dict:
+    return {e: -c for e, c in f.items()}
+
+
+@given(any_scalars, any_scalars | st.integers(-9, 9))
+@settings(max_examples=50)
+def test_sub_matches_reference(f, g):
+    want = _ref_add(_coeffs(f), _ref_neg(_coeffs(g)))
+    assert (f - g).coefficients() == want
+    assert (g - f).coefficients() == _ref_neg(want)
+    assert 0 not in (f - g).coefficients().values()
+
+
+@given(st.lists(any_scalars, max_size=6))
+@settings(max_examples=50)
+def test_lsum_matches_reference(items):
+    want: dict = {}
+    for f in items:
+        want = _ref_add(want, f.coefficients())
+    got = lsum(items)
+    assert got.coefficients() == want
+    assert got == lsum(iter(items))
+
+
+@given(any_scalars, any_scalars)
+@settings(max_examples=30)
+def test_lsum_edge_cases(f, g):
+    assert lsum([]) == ZERO and lsum([]).coefficients() == {}
+    assert lsum([f]) == f
+    # full cancellation leaves no stored zero, in any order of the terms
+    for items in ([f, g, -f, -g], [f, -f], [g, f, -g, -f]):
+        assert lsum(items).coefficients() == {}
+    assert lsum([f, g, -f]).coefficients() == g.coefficients()
+
+
 def test_mul_and_add_match_sympy():
     """The same products and sums through sympy.Poly, exponents shifted to be nonnegative."""
     sympy = pytest.importorskip("sympy")
@@ -205,15 +241,21 @@ def test_mul_and_add_match_sympy():
         terms = {(e - shift,): c for e, c in h.coefficients().items()}
         return sympy.Poly.from_dict(terms or {(0,): 0}, x), shift
 
-    @given(any_scalars, any_scalars)
+    def sympy_sum(items):
+        polys = [poly(h) for h in items]
+        lo = min((s for _, s in polys), default=0)
+        total = sum((ph * x ** (s - lo) for ph, s in polys), sympy.Poly(0, x))
+        return {k + lo: int(c) for (k,), c in total.as_dict().items() if c}
+
+    @given(any_scalars, any_scalars, st.lists(any_scalars, max_size=4))
     @settings(max_examples=25, deadline=None)
-    def check(f, g):
+    def check(f, g, items):
         (pf, sf), (pg, sg) = poly(f), poly(g)
         got = {k + sf + sg: int(c) for (k,), c in (pf * pg).as_dict().items() if c}
         assert (f * g).coefficients() == got
-        lo = min(sf, sg)
-        total = pf * x ** (sf - lo) + pg * x ** (sg - lo)
-        assert (f + g).coefficients() == {k + lo: int(c) for (k,), c in total.as_dict().items() if c}
+        assert (f + g).coefficients() == sympy_sum([f, g])
+        assert lsum(items).coefficients() == sympy_sum(items)
+        assert lsum([f, g, -f]).coefficients() == sympy_sum([g])
 
     check()
 

@@ -164,6 +164,24 @@ def test_recursion_step_mutation_is_caught(monkeypatch):
     assert labels["formula-vs-oracle"] == {"recursion-vs-oracle"}
 
 
+def test_recursions_read_both_layers_from_the_formula(monkeypatch):
+    import qdemazure.closed_formula as cf
+
+    real = cf.xi_formula
+    wrong = (2, 3, 2, 2)  # standard regime, length 6
+
+    def off_at_one_quadruple(a, b, i, k):
+        value = real(a, b, i, k)
+        return value + 1 if (a, b, i, k) == wrong else value
+
+    monkeypatch.setattr(cf, "xi_formula", off_at_one_quadruple)
+    report = run_suite("recursions", Bounds(max_len=7), jobs=1)
+    # its own check at length 6, and the length-7 i = 1 sums over c = 2
+    assert {c.inputs for c in report.counterexamples} == {
+        ("i2-step", 2, 3, 2), ("i1-sum", 2, 4, 5), ("i1-sum", 2, 4, 6), ("i1-sum", 2, 4, 7),
+    }
+
+
 def _mutate_factors(monkeypatch, mutate):
     """Patch factors_standard at every module binding so it returns
     mutate(a, b, i, factors) in place of the real factors."""
