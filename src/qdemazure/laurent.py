@@ -254,15 +254,18 @@ ZERO = LaurentScalar({})
 ONE = LaurentScalar({0: 1})
 
 
-def _accumulate(out: dict[int, int], coeffs: Mapping[int, int], op=add) -> dict[int, int]:
-    """Fold coeffs into out with op (add or sub), deleting each key that cancels."""
+def _accumulate(out: dict[int, int], coeffs: Mapping[int, int], op=add) -> bool:
+    """Fold coeffs into out with op (add or sub), deleting each key that
+    cancels; True when one did."""
+    cancelled = False
     for e, c in coeffs.items():
         s = op(out.get(e, 0), c)
         if s:
             out[e] = s
         else:
             del out[e]
-    return out
+            cancelled = True
+    return cancelled
 
 
 def lsum(scalars: Iterable[LaurentScalar]) -> LaurentScalar:
@@ -275,13 +278,24 @@ def lsum(scalars: Iterable[LaurentScalar]) -> LaurentScalar:
     """
     it = iter(scalars)
     out = dict(next(it, ZERO)._coeffs)
+    cancelled = False
     for f in it:
-        _accumulate(out, f._coeffs)
-    return LaurentScalar._wrap(out)
+        cancelled = _accumulate(out, f._coeffs) or cancelled
+    return _wrap_sum(out, cancelled)
 
 
 def _difference(f: LaurentScalar, g: LaurentScalar) -> LaurentScalar:
-    return LaurentScalar._wrap(_accumulate(dict(f._coeffs), g._coeffs, sub))
+    out = dict(f._coeffs)
+    return _wrap_sum(out, _accumulate(out, g._coeffs, sub))
+
+
+def _wrap_sum(out: dict[int, int], cancelled: bool) -> LaurentScalar:
+    # A dict keeps the table it grew to when keys are deleted, and a cached
+    # value would hold that for good: a sum in which terms cancelled is copied
+    # into a table of its own size, or is the shared ZERO.
+    if not cancelled:
+        return LaurentScalar._wrap(out)
+    return LaurentScalar._wrap(dict(out.items())) if out else ZERO
 
 
 def p_pow(n: int) -> LaurentScalar:

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from math import comb
 
 import pytest
@@ -229,6 +230,16 @@ def test_lsum_edge_cases(f, g):
     for items in ([f, g, -f, -g], [f, -f], [g, f, -g, -f]):
         assert lsum(items).coefficients() == {}
     assert lsum([f, g, -f]).coefficients() == g.coefficients()
+
+
+def test_cancelled_sums_do_not_keep_a_grown_table():
+    """A cached sum holds its dict for good, so cancellation must not leave it oversized."""
+    wide = LaurentScalar({e: 1 for e in range(200)})
+    narrow = LaurentScalar({e: 1 for e in range(10)})
+    for got in (lsum([narrow, wide, -wide]), narrow + wide - wide, (narrow + wide) - wide):
+        assert got == narrow
+        assert sys.getsizeof(got._coeffs) <= sys.getsizeof(narrow.coefficients())
+    assert lsum([wide, -wide]) is ZERO and wide - wide is ZERO
 
 
 def test_mul_and_add_match_sympy():
