@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .laurent import LaurentScalar, ONE, ZERO, binom2, p_pow, q_pow, qnum, rho_prime, sign, z_pow
 from .magic import magic
-from .polyring import check_index, normalize_index
+from .polyring import check_index, check_quadruple, normalize_index
 from .words import base_case
 
 
@@ -163,12 +163,7 @@ def xi_formula(a: int, b: int, i: int, k: int) -> LaurentScalar:
     symmetry, Xi(0, b, i, k) = (-1)^l z^-l bar(Xi(b, 0, -i-1, l-k)); k = l;
     b = 0; and finally the standard regime.
     """
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be nonnegative")
-    check_index(i)
-    ell = a + b + 1
-    if not 0 <= k <= ell:
-        raise ValueError(f"k={k} out of range 0..{ell}")
+    ell = check_quadruple(a, b, i, k)
     if a == 0 and b == 0:
         return base_case(i, k)
     if k == 0:

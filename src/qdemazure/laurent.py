@@ -7,12 +7,14 @@ because the p-exponent of every quantity in this package is an integer while
 the corresponding q- or z-exponent need not be.  Coefficients are Python ints,
 hence arbitrary precision.
 
-A scalar never stores a zero coefficient.  The public constructor filters them
-out; results that are zero-free by construction (a product with a monomial, a
+A scalar never stores a zero coefficient, and every exponent and coefficient
+is an int.  The public constructor checks the types and filters the zeros out;
+results that are zero-free by construction (a product with a monomial, a
 negation, `bar`, the nonzero slots of a dense product, a sum or difference that
-deletes each key as it cancels) are wrapped without that copy, and `lsum` adds
-any number of scalars into one dict.  Multiplication is one pure-Python kernel
-with three paths: a shift when an operand is a monomial, dense rows of
+deletes each key as it cancels) are wrapped without that copy, as are the
+monomials and the double loop of a product, which do their own checks; `lsum`
+adds any number of scalars into one dict.  Multiplication is one pure-Python
+kernel with three paths: a shift when an operand is a monomial, dense rows of
 coefficients on the common exponent stride when both operands are large and
 packed, and the plain double loop for everything else (see
 `LaurentScalar.__mul__`).
@@ -66,6 +68,9 @@ class LaurentScalar:
     __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[int, int]) -> None:
+        for e, c in coeffs.items():
+            if type(e) is not int or type(c) is not int:
+                raise TypeError(f"exponent {e!r} and coefficient {c!r} must both be int")
         self._coeffs = {e: c for e, c in coeffs.items() if c != 0}
         self._hash: int | None = None
 
@@ -79,7 +84,8 @@ class LaurentScalar:
 
     @classmethod
     def from_int(cls, n: int) -> LaurentScalar:
-        return cls({0: n})
+        n = _check_int(n)
+        return cls._wrap({0: n} if n else {})
 
     def coefficients(self) -> dict[int, int]:
         """The exponent -> coefficient association, as a fresh dict."""
@@ -115,8 +121,8 @@ class LaurentScalar:
     def _coerce(other: object) -> LaurentScalar | None:
         if isinstance(other, LaurentScalar):
             return other
-        if isinstance(other, int):
-            return LaurentScalar({0: other})
+        if type(other) is int:
+            return LaurentScalar._wrap({0: other} if other else {})
         return None
 
     def __add__(self, other: object) -> LaurentScalar:
@@ -185,7 +191,7 @@ class LaurentScalar:
             for e2, c2 in long.items():
                 k = e1 + e2
                 out[k] = out.get(k, 0) + c1 * c2
-        return LaurentScalar(out)
+        return LaurentScalar._wrap({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -298,18 +304,24 @@ def _wrap_sum(out: dict[int, int], cancelled: bool) -> LaurentScalar:
     return LaurentScalar._wrap(dict(out.items())) if out else ZERO
 
 
+def _check_int(n: int) -> int:
+    if type(n) is not int:
+        raise TypeError(f"expected an int, got {n!r}")
+    return n
+
+
 def p_pow(n: int) -> LaurentScalar:
-    return LaurentScalar({n: 1})
+    return LaurentScalar._wrap({_check_int(n): 1})
 
 
 def z_pow(n: int) -> LaurentScalar:
     """z^n = p^(2n)."""
-    return LaurentScalar({2 * n: 1})
+    return LaurentScalar._wrap({2 * _check_int(n): 1})
 
 
 def q_pow(n: int) -> LaurentScalar:
     """q^n = p^(-3n)."""
-    return LaurentScalar({-3 * n: 1})
+    return LaurentScalar._wrap({-3 * _check_int(n): 1})
 
 
 def sign(n: int) -> LaurentScalar:

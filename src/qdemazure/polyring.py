@@ -34,6 +34,18 @@ def check_index(i: int) -> int:
     return i
 
 
+def check_quadruple(a: int, b: int, i: int, k: int) -> int:
+    """Check the domain of Xi(a, b, i, k): a, b >= 0, i in {1, 2, 3} and
+    0 <= k <= l; return the length l = a+b+1 of the word w(a, b, i)."""
+    if a < 0 or b < 0:
+        raise ValueError("a and b must be nonnegative")
+    check_index(i)
+    ell = a + b + 1
+    if not 0 <= k <= ell:
+        raise ValueError(f"k={k} out of range 0..{ell}")
+    return ell
+
+
 class TriPoly:
     """A polynomial in x1, x2, x3 with LaurentScalar coefficients.
 

@@ -8,8 +8,10 @@ p^(3m) = -1 = q^m) collapses the closed formula to a short expression: up to
 a sign and a power of p it is m^2 times a single quantum binomial evaluated
 at the root.
 
-Arithmetic happens in Z[x]/Phi_(6m)(x), which is independent of which
-primitive root is chosen, so every identity checked here is Galois-stable.
+Every value is computed in Z[p^(+-1)] and sent to the root once: specialize
+folds the exponents mod 6m and CycElem reduces the result mod Phi_(6m).  The
+residue in Z[x]/Phi_(6m)(x) does not depend on which primitive root is chosen,
+so every identity checked here is Galois-stable.
 """
 
 from __future__ import annotations
@@ -50,11 +52,12 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
 
 
 class CycElem:
-    """An element of Z[x]/Phi_(6m)(x), with x the image of p.
+    """An element of Z[x]/Phi_(6m)(x), with x the image of p: the value that
+    specialize returns.
 
     The residue is stored densely, constant term first, with fewer
-    coefficients than the degree of Phi_(6m).  Arithmetic lifts both residues
-    to LaurentScalar and specializes the result.
+    coefficients than the degree of Phi_(6m).  It has no arithmetic of its
+    own; equality and the hash compare (m, residue).
     """
 
     __slots__ = ("m", "residue")
@@ -78,16 +81,8 @@ class CycElem:
         self.residue = tuple(res)
 
     @classmethod
-    def from_int(cls, m: int, n: int) -> CycElem:
-        return cls(m, (n,))
-
-    @classmethod
     def zero(cls, m: int) -> CycElem:
         return cls(m)
-
-    @classmethod
-    def one(cls, m: int) -> CycElem:
-        return cls(m, (1,))
 
     def is_zero(self) -> bool:
         return not self.residue
@@ -95,53 +90,12 @@ class CycElem:
     def __bool__(self) -> bool:
         return bool(self.residue)
 
-    def _lift(self) -> LaurentScalar:
-        """The residue as a polynomial in p."""
-        return LaurentScalar(dict(enumerate(self.residue)))
-
-    def _coerce(self, other: object) -> LaurentScalar | None:
-        if isinstance(other, int):
-            return LaurentScalar.from_int(other)
-        if not isinstance(other, CycElem):
-            return None
-        if self.m != other.m:
-            raise ValueError("mixed cyclotomic orders")
-        return other._lift()
-
-    def __add__(self, other: object) -> CycElem:
-        o = self._coerce(other)
-        return NotImplemented if o is None else specialize(self._lift() + o, self.m)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> CycElem:
-        return CycElem(self.m, tuple(-c for c in self.residue))
-
-    def __sub__(self, other: object) -> CycElem:
-        o = self._coerce(other)
-        return NotImplemented if o is None else specialize(self._lift() - o, self.m)
-
-    def __rsub__(self, other: object) -> CycElem:
-        o = self._coerce(other)
-        return NotImplemented if o is None else specialize(o - self._lift(), self.m)
-
-    def __mul__(self, other: object) -> CycElem:
-        o = self._coerce(other)
-        return NotImplemented if o is None else specialize(self._lift() * o, self.m)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = CycElem.from_int(self.m, other)
         if not isinstance(other, CycElem):
             return NotImplemented
         return self.m == other.m and self.residue == other.residue
 
     def __hash__(self) -> int:
-        # a constant hashes like the int it equals
-        if len(self.residue) <= 1:
-            return hash(self.residue[0] if self.residue else 0)
         return hash((self.m, self.residue))
 
     def divisible_by(self, n: int) -> bool:
@@ -149,7 +103,8 @@ class CycElem:
         return all(c % n == 0 for c in self.residue)
 
     def render(self) -> str:
-        return self._lift().render()
+        """The residue as a polynomial in p."""
+        return LaurentScalar(dict(enumerate(self.residue))).render()
 
     def to_json(self) -> dict:
         return {"m": self.m, "residue": list(self.residue)}

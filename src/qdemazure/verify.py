@@ -37,7 +37,7 @@ from .magic import (
 )
 from .polyring import TriPoly, demazure, normalize_index, s_action, sigma, tau, x_var
 from .report import Recorder, VerifyReport
-from .words import recursion_step, xi_oracle, xi_recursive
+from .words import recursion_step, xi_forward, xi_oracle, xi_recursive
 
 
 @dataclass
@@ -209,14 +209,14 @@ def _triple_equal_unit(args: tuple[int, int]) -> Recorder:
             rec.eq(("formula-vs-oracle", a, b, i, k), cf.xi_formula(a, b, i, k), oracle)
             rec.eq(("recursion-vs-oracle", a, b, i, k), xi_recursive(a, b, i, k), oracle)
             if ell <= 8:
-                rec.eq(("truncation", a, b, i, k), xi_oracle(a, b, i, k, truncate=False), oracle)
+                rec.eq(("truncation", a, b, i, k), xi_forward(a, b, i, k), oracle)
     return rec
 
 
 def suite_formula_vs_oracle(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     """Exact agreement of the closed formula, the recursion and the brute-force
     oracle on every quadruple up to the length bound, plus agreement of the
-    oracle with its run that keeps x1*x2*x3 multiples, for lengths up to 8."""
+    oracle with xi_forward, which keeps x1*x2*x3 multiples, for lengths up to 8."""
     max_len = bounds.len_(12)
     rec = Recorder()
     units = list(_abi_range(max_len))

@@ -11,9 +11,9 @@ a scalar in Z[z^{±1}]; this module computes that scalar two independent ways:
                      term functional is pulled back through the word one
                      divided-difference operator at a time, leftmost letter
                      first, which gives every k of a word in one pass
-                     (_dual_row); ``truncate=False`` pushes each monomial
-                     forward through the operators instead, keeping every
-                     term, as the reference the dual is checked against;
+                     (_dual_row); xi_forward pushes each monomial forward
+                     through the operators instead, keeping every term, as
+                     the reference the dual is checked against;
 * xi_recursive    -- structural recursion on (a, b, i, k) through the length-
                      reducing recursion formulas and the four symmetries,
                      stated once in recursion_step.
@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .laurent import LaurentScalar, ZERO, ONE, lsum, sign, z_pow
-from .polyring import TriPoly, demazure, demazure_terms, normalize_index, check_index
+from .polyring import TriPoly, check_quadruple, demazure, demazure_terms, normalize_index, check_index
 
 
 def build_word(a: int, b: int, i: int) -> tuple[int, ...]:
@@ -36,9 +36,7 @@ def build_word(a: int, b: int, i: int) -> tuple[int, ...]:
     >>> build_word(0, 0, 2)
     (2,)
     """
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be nonnegative")
-    check_index(i)
+    check_quadruple(a, b, i, 0)  # k = 0 lies in the range of every word
     j = normalize_index(i + b - 1)
     letters = [normalize_index(j - a + 1 + t) for t in range(a)]
     letters.append(normalize_index(j + 1))
@@ -48,27 +46,26 @@ def build_word(a: int, b: int, i: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def xi_oracle(a: int, b: int, i: int, k: int, truncate: bool = True) -> LaurentScalar:
+def xi_oracle(a: int, b: int, i: int, k: int) -> LaurentScalar:
     """The scalar of w(a, b, i) on x1^k * x2^(l-k), read from the dual row of
-    the word (_dual_row).
+    the word (_dual_row)."""
+    check_quadruple(a, b, i, k)
+    return _dual_row(a, b, i)[k]
 
-    ``truncate=False`` instead applies the divided-difference operators of the
-    word, rightmost letter first, to the monomial and keeps every term: the
-    reference the dual, which drops x1*x2*x3 multiples, is checked against.
-    """
-    ell = a + b + 1
-    if not 0 <= k <= ell:
-        raise ValueError(f"k={k} out of range 0..{ell}")
-    if truncate:
-        return _dual_row(a, b, i)[k]
+
+def xi_forward(a: int, b: int, i: int, k: int) -> LaurentScalar:
+    """The same scalar by the forward composition, rightmost letter first,
+    keeping every term: the reference the dual, which drops x1*x2*x3
+    multiples, is checked against."""
+    ell = check_quadruple(a, b, i, k)
     f = TriPoly.monomial((k, ell - k, 0))
     for letter in reversed(build_word(a, b, i)):
         f = demazure(letter, f)
     if not f.is_scalar():
-        raise RuntimeError(f"xi_oracle({a},{b},{i},{k}) did not reduce to a scalar: {f}")
+        raise RuntimeError(f"xi_forward({a},{b},{i},{k}) did not reduce to a scalar: {f}")
     value = f.constant_coefficient()
     if not value.is_z_element():
-        raise RuntimeError(f"xi_oracle({a},{b},{i},{k}) left the ring Z[z^(+-1)]: {value}")
+        raise RuntimeError(f"xi_forward({a},{b},{i},{k}) left the ring Z[z^(+-1)]: {value}")
     return value
 
 
@@ -134,12 +131,7 @@ def base_case(i: int, k: int) -> LaurentScalar:
 def xi_recursive(a: int, b: int, i: int, k: int) -> LaurentScalar:
     """Evaluate the scalar by structural recursion, memoized on (a, b, i, k):
     the fixed point of recursion_step."""
-    ell = a + b + 1
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be nonnegative")
-    check_index(i)
-    if not 0 <= k <= ell:
-        raise ValueError(f"k={k} out of range 0..{ell}")
+    check_quadruple(a, b, i, k)
     return _xi_recursive(a, b, i, k)
 
 

@@ -416,6 +416,21 @@ def test_constant_hashes_like_its_int():
     assert len({LaurentScalar.from_int(5), 5}) == 1
 
 
+@pytest.mark.parametrize("coeffs", [{0.5: 1}, {1: 2.0}, {True: 1}, {0: True}, {1: 0.0}, {2: 1, 3: "1"}])
+def test_constructor_rejects_non_int(coeffs):
+    with pytest.raises(TypeError):
+        LaurentScalar(coeffs)
+
+
+@pytest.mark.parametrize("make, n", [
+    (p_pow, 0.5), (p_pow, True), (z_pow, 1.0), (q_pow, False),
+    (LaurentScalar.from_int, 2.0), (LaurentScalar.from_int, 0.0), (LaurentScalar.from_int, True),
+])
+def test_monomial_constructors_reject_non_int(make, n):
+    with pytest.raises(TypeError):
+        make(n)
+
+
 def test_sign_and_binom2():
     assert [sign(n) for n in (-1, 0, 1, 2)] == [-ONE, ONE, -ONE, ONE]
     assert [binom2(n) for n in range(5)] == [0, 0, 1, 3, 6]

@@ -2,9 +2,11 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -290,12 +292,25 @@ def _imports(module: str) -> dict[str, set[str]]:
 def test_evaluators_are_independent():
     assert _imports("closed_formula")["words"] == {"base_case"}
     assert not _imports("words").keys() & {"closed_formula", "magic", "rou"}
-    for fn in ("xi_oracle", "_dual_row", "_x123_free_monomials"):
+    for fn in ("xi_oracle", "xi_forward", "_dual_row", "_x123_free_monomials"):
         tree = next(node for node in ast.walk(_package_tree("words"))
                     if isinstance(node, ast.FunctionDef) and node.name == fn)
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not named & {"recursion_step", "_xi_recursive"}, fn
+
+
+def test_package_exports_only_the_documented_api():
+    readme = Path(qdemazure.__file__).resolve().parents[2] / "README.md"
+    if not readme.exists():
+        pytest.skip("README.md is not next to this checkout's src/")
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    table = section.split("| name | what it is |", 1)[1].split("\n\n", 1)[0]
+    documented = {name for line in table.splitlines()[2:]
+                  for name in re.findall(r"`(\w+)`", line.split("|")[1])}
+    exported = {name for name, value in vars(qdemazure).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == documented
 
 
 def test_no_assert_in_package():
@@ -360,10 +375,12 @@ def test_cli_xi_rou(capsys):
     assert capsys.readouterr().out.strip() == "-4*p^2"
 
 
-def test_cli_usage_errors():
-    with pytest.raises(SystemExit) as exc:
-        main(["xi", "--a", "1", "--b", "1", "--i", "1", "--k", "9"])
-    assert exc.value.code == 2
+def test_cli_usage_errors(capsys):
+    for method in ("formula", "oracle", "recursion"):
+        with pytest.raises(SystemExit) as exc:
+            main(["xi", "--a", "1", "--b", "1", "--i", "1", "--k", "9", "--method", method])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "qdemazure: error: k=9 out of range 0..3\n"
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
     assert exc.value.code == 2

@@ -1,7 +1,8 @@
 import pytest
 
+from qdemazure.closed_formula import xi_formula
 from qdemazure.laurent import ONE, ZERO, z_pow
-from qdemazure.words import base_case, build_word, xi_oracle, xi_recursive
+from qdemazure.words import base_case, build_word, xi_forward, xi_oracle, xi_recursive
 
 
 def all_abi(max_len):
@@ -68,11 +69,26 @@ def test_xi_oracle_rejects_bad_k():
         xi_oracle(1, 1, 1, -1)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-1, 2, 1, 0), "a and b must be nonnegative"),
+    ((2, -1, 1, 0), "a and b must be nonnegative"),
+    ((-1, 1, 1, 9), "a and b must be nonnegative"),
+    ((1, 1, 4, 1), "index 4 is not in {1, 2, 3}"),
+    ((1, 1, 1, 4), "k=4 out of range 0..3"),
+    ((1, 1, 1, -1), "k=-1 out of range 0..3"),
+])
+def test_evaluators_reject_the_same_domain(args, message):
+    for xi in (xi_oracle, xi_forward, xi_recursive, xi_formula):
+        with pytest.raises(ValueError) as exc:
+            xi(*args)
+        assert str(exc.value) == message, xi.__name__
+
+
 def test_xi_oracle_truncation_equivalence():
     for a, b, i in all_abi(6):
         ell = a + b + 1
         for k in range(ell + 1):
-            assert xi_oracle(a, b, i, k, truncate=True) == xi_oracle(a, b, i, k, truncate=False)
+            assert xi_oracle(a, b, i, k) == xi_forward(a, b, i, k)
 
 
 def test_base_case_table():
