@@ -3,7 +3,6 @@ ring, their word scalars, closed formulas, and root-of-unity values."""
 
 from .laurent import LaurentScalar, p_pow, q_pow, z_pow
 from .words import build_word, xi_oracle, xi_recursive
-from .magic import magic
 from .closed_formula import xi_formula
 from .rou import specialize, xi_rou_formula
 from .verify import Bounds, run_suite

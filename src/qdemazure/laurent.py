@@ -10,26 +10,31 @@ hence arbitrary precision.
 A scalar never stores a zero coefficient, and every exponent and coefficient
 is an int.  The public constructor checks the types and filters the zeros out;
 results that are zero-free by construction (a product with a monomial, a
-negation, `bar`, the nonzero slots of a dense product, a sum or difference that
-deletes each key as it cancels) are wrapped without that copy, as are the
-monomials and the double loop of a product, which do their own checks; `lsum`
-adds any number of scalars into one dict.  Multiplication is one pure-Python
-kernel with three paths: a shift when an operand is a monomial, dense rows of
-coefficients on the common exponent stride when both operands are large and
-packed, and the plain double loop for everything else (see
-`LaurentScalar.__mul__`).
+negation, `bar`, the nonzero slots of a dense product or of a packed int read
+back, a sum or difference that deletes each key as it cancels) are wrapped
+without that copy, as are the monomials and the double loop of a product,
+which do their own checks; `lsum` adds any number of scalars into one dict.
+Multiplication is one pure-Python kernel with three paths: a shift when an
+operand is a monomial, dense rows of coefficients on the common exponent
+stride when both operands are large and packed, and the plain double loop for
+everything else (see `LaurentScalar.__mul__`).
 
 This module also provides the quantum-number toolkit built on top of that
 ring: balanced quantum numbers [k], quantum factorials, quantum binomial
 coefficients, and the products rho / rho_prime of quantum-integer factors.
+The quantum binomials, and the magic sums built from them, are computed by
+Kronecker substitution: a q-polynomial on its exponent stride is one int with
+a slot of whole bytes per coefficient (`_pack` / `_unpack`), the slot width
+comes from a bound on the coefficients, and a check at q = 1 raises
+ArithmeticError if a value reads back wrong.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, repeat
-from math import gcd
-from operator import add, mul, sub
+from math import comb, factorial, gcd, prod
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Mapping
 
 # The product kernel lays the longer operand out densely once the shorter one
@@ -310,6 +315,68 @@ def _check_int(n: int) -> int:
     return n
 
 
+# -- Kronecker substitution ----------------------------------------------------
+#
+# A q-polynomial sits on p-exponents low, low+6, low+12, ... (q = p^-3 and its
+# powers here come in steps of q^2 = p^-6).  Put y = 2^w for a slot width w of
+# whole bytes: the polynomial sum c_i p^(low+6i) becomes the int sum c_i 2^(wi),
+# products of polynomials become products of ints, and the coefficients are
+# read back from the bytes of the int.  Slots keep two spare bits: with every
+# |c_i| < 2^(w-2), adding 2^(w-2) to each slot makes it a nonnegative number
+# below 2^(w-1), so no slot borrows from the next.
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for coefficients of absolute value at most bound."""
+    return (bound.bit_length() + 9) // 8
+
+
+def _slot_bias(nbytes: int, slots: int) -> int:
+    """The int with 2^(w-2) in each of the slots, w = 8 * nbytes."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x40") * slots, "little")
+
+
+def _pack(f: LaurentScalar, nbytes: int) -> tuple[int, int, int]:
+    """(v, low, slots) with f == sum c_i p^(low+6i) over slots i and v = sum c_i 2^(wi).
+
+    f must be nonzero, with its exponents on one class mod 6 and every
+    |c_i| < 2^(w-2); a coefficient that does not fit its slot at all raises
+    OverflowError, an ArithmeticError.
+    """
+    coeffs = f._coeffs
+    low = min(coeffs)
+    if any((e - low) % 6 for e in coeffs):
+        raise ValueError(f"({f}) is not a q-polynomial on stride 6")
+    slots = (max(coeffs) - low) // 6 + 1
+    half = 1 << (8 * nbytes - 2)
+    data = b"".join((coeffs.get(e, 0) + half).to_bytes(nbytes, "little") for e in range(low, low + 6 * slots, 6))
+    return int.from_bytes(data, "little") - _slot_bias(nbytes, slots), low, slots
+
+
+def _unpack(parts: Iterable[tuple[int, int, int]], nbytes: int) -> LaurentScalar:
+    """The sum of the scalars that parts (v, low, slots) stand for, each as
+    _pack gives it; the inverse of _pack.
+
+    Parts whose lows agree mod 6 are shifted into place and added as ints, so
+    each class of exponents is read back once, as one dict; every coefficient
+    of the sum must have |c| < 2^(w-2).
+    """
+    w = 8 * nbytes
+    classes: dict[int, list[int]] = {}  # low mod 6 -> [v, low, slots] of the class's sum
+    for v, low, slots in sorted(parts, key=itemgetter(1)):
+        acc = classes.setdefault(low % 6, [0, low, 0])
+        offset = (low - acc[1]) // 6
+        acc[0] += v << (w * offset)
+        acc[2] = max(acc[2], offset + slots)
+    half = 1 << (w - 2)
+    terms = []
+    for v, low, slots in classes.values():
+        data = (v + _slot_bias(nbytes, slots)).to_bytes(nbytes * slots, "little")
+        coeffs = [int.from_bytes(data[i:i + nbytes], "little") - half for i in range(0, len(data), nbytes)]
+        terms += compress(zip(range(low, low + 6 * slots, 6), coeffs), coeffs)
+    return LaurentScalar._wrap(dict(terms))
+
+
 def p_pow(n: int) -> LaurentScalar:
     return LaurentScalar._wrap({_check_int(n): 1})
 
@@ -389,13 +456,43 @@ def qfact(d: int) -> LaurentScalar:
     return ONE if d == 0 else qfact(d - 1) * qnum(d)
 
 
+def _positive_top(n: int, j: int) -> tuple[int, int]:
+    """(top, s) with qbinom(n, j) == s * qbinom(top, j) and top >= 0, for j >= 0:
+    the negative-top sign rule qbinom(-d-1, j) == (-1)^j * qbinom(d+j, j)."""
+    return (n, 1) if n >= 0 else (j - n - 1, -1 if j % 2 else 1)
+
+
+def _qbinom_norm(n: int, j: int) -> int:
+    """The sum of the absolute values of the coefficients of qbinom(n, j), all of
+    which share one sign: |binomial(n, j)|."""
+    return comb(_positive_top(n, j)[0], j) if j >= 0 else 0
+
+
+def _binomial(n: int, j: int) -> int:
+    """binomial(n, j) as a polynomial in n (zero for j < 0): qbinom(n, j) at q = 1."""
+    return prod(range(n, n - j, -1)) // factorial(j) if j >= 0 else 0
+
+
+def _check_at_one(value: LaurentScalar, expected: int, what: str) -> LaurentScalar:
+    """Return value if it specializes to expected at q = 1; raise ArithmeticError,
+    which survives -O, if it does not (a slot too narrow for its coefficient)."""
+    got = value.at_one()
+    if got != expected:
+        raise ArithmeticError(f"{what} is {got} at q = 1, not {expected}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def qbinom(n: int, j: int) -> LaurentScalar:
     """The balanced quantum binomial coefficient, defined for any integer top.
 
-    Computed as the product [n-j+1][n-j+2]...[n] / [j]!, one exact division at
-    a time.  This yields 0 for j < 0 and for 0 <= n < j, and reproduces the
-    negative-top sign rule qbinom(-d-1, j) == (-1)^j * qbinom(d+j, j).
+    It is q^{-j(n-j)} times the Gaussian binomial in y = q^2, the product
+    (y^{n-j+1} - 1)...(y^n - 1) / (y - 1)...(y^j - 1).  That is evaluated at
+    y = 2^w, with slots of w bits that hold the coefficients (they are positive
+    and sum to binomial(n, j)), as one exact division of integers, and the
+    quotient is read back slot by slot.  It is 0 for j < 0 and for 0 <= n < j,
+    and follows the negative-top sign rule qbinom(-d-1, j) == (-1)^j *
+    qbinom(d+j, j).
 
     >>> qbinom(2, 1) == qnum(2)
     True
@@ -404,14 +501,20 @@ def qbinom(n: int, j: int) -> LaurentScalar:
     >>> qbinom(6, 3).at_one()
     20
     """
-    if j < 0:
+    if j < 0 or 0 <= n < j:
         return ZERO
-    out = ONE
-    for t in range(1, j + 1):
-        out = exact_div(out * qnum(n - j + t), qnum(t))
-        if out.is_zero():
-            return ZERO
-    return out
+    top, s = _positive_top(n, j)
+    r = min(j, top - j)  # qbinom(top, j) == qbinom(top, top - j)
+    m = top - r
+    nbytes = _slot_bytes(comb(top, j))
+    w = 8 * nbytes
+    num = prod((1 << w * (m + t)) - 1 for t in range(1, r + 1))
+    den = prod((1 << w * t) - 1 for t in range(1, r + 1))
+    val, rem = divmod(num, den)
+    if rem:
+        raise ExactDivisionError(f"the Gaussian binomial ({top}, {j}) left a remainder at y = 2^{w}")
+    out = _unpack([(s * val, -3 * r * m, r * m + 1)], nbytes)
+    return _check_at_one(out, _binomial(n, j), f"qbinom({n}, {j})")
 
 
 @lru_cache(maxsize=None)

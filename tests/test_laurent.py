@@ -3,12 +3,15 @@ import sys
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdemazure import laurent
 from qdemazure.laurent import (
     _DENSE_MAX_SPREAD,
     _DENSE_MIN_TERMS,
+    _pack,
+    _unpack,
     ONE,
     ZERO,
     ExactDivisionError,
@@ -320,6 +323,81 @@ def test_qbinom_pascal_and_symmetry():
         for j in range(0, n + 1):
             assert qbinom(n, j) == qbinom(n, n - j)
             assert qbinom(n, j) == q_pow(j) * qbinom(n - 1, j) + q_pow(j - n) * qbinom(n - 1, j - 1)
+
+
+def _qbinom_by_division_chain(n, j):
+    """The reference: [n-j+1][n-j+2]...[n] / [j]!, one exact division at a time."""
+    if j < 0:
+        return ZERO
+    out = ONE
+    for t in range(1, j + 1):
+        out = exact_div(out * qnum(n - j + t), qnum(t))
+        if out.is_zero():
+            return ZERO
+    return out
+
+
+@given(st.integers(-20, 24), st.integers(-2, 14))
+@example(0, 0)
+@example(-1, 14)
+@example(24, 12)
+@example(5, 9)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_qbinom_matches_the_division_chain(n, j):
+    assert qbinom(n, j) == _qbinom_by_division_chain(n, j)
+
+
+@given(st.integers(1, 10), st.integers(-40, 40), st.data())
+@settings(max_examples=80, derandomize=True)
+def test_pack_round_trip_at_the_slot_limits(nbytes, low, data):
+    """Coefficients up to +-(2^(w-2) - 1) come back from one int, and sums of
+    packed scalars on either class of exponents mod 6 come back as one scalar."""
+    top = (1 << (8 * nbytes - 2)) - 1
+    inner = st.sampled_from((top, -top, 0, 1, -1)) | st.integers(-top, top)
+    ends = st.sampled_from((top, -top))
+    coeffs = [data.draw(ends), *data.draw(st.lists(inner, max_size=30)), data.draw(ends)]
+    f = LaurentScalar({low + 6 * i: c for i, c in enumerate(coeffs)})
+    v, got_low, slots = _pack(f, nbytes)
+    assert (got_low, slots) == (low, len(coeffs))
+    assert v == sum(c << (8 * nbytes * i) for i, c in enumerate(coeffs))
+    assert _unpack([(v, got_low, slots)], nbytes) == f
+    g = f * p_pow(3) * data.draw(st.sampled_from((1, -1)))
+    assert _unpack([_pack(f, nbytes), _pack(g, nbytes)], nbytes) == f + g
+    # parts on one class of exponents are added as ints before they are read back
+    h = f * p_pow(6 * (slots + data.draw(st.integers(0, 3))))
+    assert _unpack([_pack(h, nbytes), _pack(f, nbytes)], nbytes) == f + h
+    assert _unpack([_pack(f, nbytes), _pack(g, nbytes), _pack(-f, nbytes)], nbytes) == g
+
+
+def test_pack_rejects_what_does_not_fit():
+    with pytest.raises(ValueError):
+        _pack(p_pow(0) + p_pow(3), 2)
+    with pytest.raises(OverflowError):
+        _pack(LaurentScalar({0: 1 << 20}), 2)
+
+
+def test_a_slot_below_the_bound_trips_the_q1_guard(monkeypatch):
+    """One byte per slot fewer than the bound asks: each value in the window is
+    then either still right (the bound is not tight) or refused by the check at
+    q = 1, never wrong."""
+    want = {(n, j): qbinom(n, j) for n in range(-20, 25) for j in range(16)}
+    real = laurent._slot_bytes
+    monkeypatch.setattr(laurent, "_slot_bytes", lambda bound: max(1, real(bound) - 1))
+    refused = 0
+    try:
+        for (n, j), value in want.items():
+            qbinom.cache_clear()
+            try:
+                assert qbinom(n, j) == value
+            except ArithmeticError as exc:
+                assert "at q = 1" in str(exc)
+                refused += 1
+        qbinom.cache_clear()
+        with pytest.raises(ArithmeticError, match=r"qbinom\(-20, 4\) is -?\d+ at q = 1, not 8855"):
+            qbinom(-20, 4)
+    finally:
+        qbinom.cache_clear()
+    assert refused > 50
 
 
 def test_chu_vandermonde_convolution():

@@ -1,8 +1,11 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdemazure.laurent import ONE, ZERO, q_pow, qbinom, qnum
+import qdemazure.magic as magic_module
+from qdemazure.laurent import ONE, ZERO, _qbinom_norm, _slot_bytes, lsum, q_pow, qbinom, qnum
 from qdemazure.magic import (
     GenSeries,
     chu_vandermonde_special,
@@ -68,6 +71,63 @@ def test_magic_at_one_is_binomial():
             for k in range(1, 2 * nu + 1):
                 for beta in range(0, nu + 1):
                     assert magic(nu, k, beta, eps).at_one() == comb(nu - 2, beta)
+
+
+def _sum_of_terms(nu, k, beta, eps):
+    return lsum(term(nu, k, beta, eps, j) for j in range(beta + 1))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_magic_matches_its_sum_of_terms(data):
+    """The packed sum against the definition, through LaurentScalar products:
+    any k (both generating-function windows, the gap between them, and beyond
+    either end, where a top is negative) and any beta (beyond nu too)."""
+    nu = data.draw(st.integers(0, 22))
+    k = data.draw(st.integers(-3, 2 * nu + 4))
+    beta = data.draw(st.integers(-2, nu + 3))
+    eps = data.draw(st.sampled_from((-1, 0, 1)))
+    assert magic(nu, k, beta, eps) == _sum_of_terms(nu, k, beta, eps)
+
+
+@pytest.mark.parametrize("nu, k, beta, eps", [
+    (22, 48, 25, 1),  # 72-bit bound: slots wider than 64 bits
+    (20, 41, 21, -1),  # the far corner of magic-recursion at nu <= 20
+    (9, 9, 4, 0),  # the gap between the two windows
+    (9, -3, 11, -1),  # k below both windows, beta > nu
+    (1, 0, 2, 0),  # nu - 2 < 0
+])
+def test_magic_edge_cases_match_their_sum_of_terms(nu, k, beta, eps):
+    assert magic(nu, k, beta, eps) == _sum_of_terms(nu, k, beta, eps)
+
+
+def test_magic_slots_exceed_64_bits_at_nu_22():
+    bound = sum(_qbinom_norm(47, 25 - j) * _qbinom_norm(22 - 48 - 1, j) for j in range(26))
+    assert bound.bit_length() == 72 and _slot_bytes(bound) == 10
+
+
+def test_magic_slot_below_the_bound_trips_the_q1_guard(monkeypatch):
+    """magic with one byte per slot fewer than its bound: right or refused at q = 1, never wrong."""
+    cases = [(nu, k, beta, eps) for nu in range(6, 11) for k in (-2, 2 * nu + 1)
+             for beta in range(nu + 1) for eps in (-1, 0, 1)]
+    want = {case: magic(*case) for case in cases}
+    real = magic_module._slot_bytes
+    monkeypatch.setattr(magic_module, "_slot_bytes", lambda bound: max(1, real(bound) - 1))
+    refused = 0
+    try:
+        for case, value in want.items():
+            magic.cache_clear()
+            try:
+                assert magic(*case) == value
+            except ArithmeticError as exc:
+                assert "at q = 1" in str(exc)
+                refused += 1
+        magic.cache_clear()
+        with pytest.raises(ArithmeticError, match=r"magic\(7, -2, 7, -1\) is -?\d+ at q = 1, not 0"):
+            magic(7, -2, 7, -1)
+    finally:
+        magic.cache_clear()
+    assert refused > 10
 
 
 def test_parity_interval():

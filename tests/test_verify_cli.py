@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -95,11 +96,10 @@ def test_pool_is_capped_by_cpus_and_units(monkeypatch):
 
 def test_reformed_failure_is_reported_under_optimize():
     code = textwrap.dedent("""
-        import importlib
         import json
+        import qdemazure.magic as magic
         from qdemazure.verify import Bounds, run_suite
 
-        magic = importlib.import_module("qdemazure.magic")  # the package re-exports the function
         loop = magic._reformed_partial_sums
 
         def broken(B, shift, summand, closed_form):
@@ -311,6 +311,15 @@ def test_package_exports_only_the_documented_api():
     exported = {name for name, value in vars(qdemazure).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == documented
+
+
+def test_submodules_are_not_shadowed():
+    """`import qdemazure.magic as m` binds the module, as it does for every submodule."""
+    import qdemazure.magic as m
+
+    assert isinstance(m, types.ModuleType) and m is sys.modules["qdemazure.magic"]
+    for name in ("laurent", "polyring", "words", "magic", "closed_formula", "rou", "verify", "report", "cli"):
+        assert getattr(qdemazure, name) is importlib.import_module(f"qdemazure.{name}"), name
 
 
 def test_no_assert_in_package():
