@@ -6,13 +6,15 @@ magic(nu, k, beta, eps) is the finite sum over j of
     qbinom(k-1, beta-j) * qbinom(nu-k-1, j) * q^(j*(-3*nu + 2*k - 2*eps)),
 
 an alternate q-deformation of binomial(nu-2, beta).  The offset eps is always
-one of -1, 0, 1.  `magic` adds the products of packed q-binomials as ints and
-reads the sum back once (see laurent); `term` keeps the summand as a product
-of scalars, the definition the packed sum is tested against.  No closed form is known, but the generating function over
+one of -1, 0, 1.  No closed form is known, but the generating function over
 beta factors as a product of (1 + q^lambda * x) with lambda running over a
 union of two parity intervals, and that factorization drives everything else
 here: the k <-> L-k symmetry, the Chu-Vandermonde special cases, a recursion
 in nu, and four telescoping-sum identities.
+
+`magic` adds the products of packed q-binomials as ints and reads the sum back
+once (Kronecker substitution, see laurent); `term` keeps one summand as a
+product of scalars, the definition the packed sum is tested against.
 """
 
 from __future__ import annotations
