@@ -20,20 +20,23 @@ stride when both operands are large and packed, and the plain double loop for
 everything else (see `LaurentScalar.__mul__`).
 
 This module also provides the quantum-number toolkit built on top of that
-ring: balanced quantum numbers [k], quantum factorials, quantum binomial
-coefficients, and the products rho / rho_prime of quantum-integer factors.
-The quantum binomials, and the magic sums built from them, are computed by
-Kronecker substitution: a q-polynomial on its exponent stride is one int with
-a slot of whole bytes per coefficient (`_pack` / `_unpack`), the slot width
-comes from a bound on the coefficients, and a check at q = 1 raises
-ArithmeticError if a value reads back wrong.
+ring: balanced quantum numbers [k], quantum binomial coefficients, sums of
+products of two of them (`qbinom_product_sum`, which the magic sums are), and
+the products rho / rho_prime of quantum-integer factors.  The quantum
+binomials and their product sums are computed by Kronecker substitution, and
+this module alone knows the packed format: a q-polynomial on its exponent
+stride is one int with a slot of whole bytes per coefficient, a q-binomial is
+packed straight from one exact division of integers (`_packed_qbinom`) and
+read back by `_unpack`, the slot width comes from a bound on the
+coefficients, and a check at q = 1 raises ArithmeticError if a value reads
+back wrong.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, repeat
-from math import comb, factorial, gcd, prod
+from math import comb, gcd, prod
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Mapping
 
@@ -336,26 +339,9 @@ def _slot_bias(nbytes: int, slots: int) -> int:
     return int.from_bytes((bytes(nbytes - 1) + b"\x40") * slots, "little")
 
 
-def _pack(f: LaurentScalar, nbytes: int) -> tuple[int, int, int]:
-    """(v, low, slots) with f == sum c_i p^(low+6i) over slots i and v = sum c_i 2^(wi).
-
-    f must be nonzero, with its exponents on one class mod 6 and every
-    |c_i| < 2^(w-2); a coefficient that does not fit its slot at all raises
-    OverflowError, an ArithmeticError.
-    """
-    coeffs = f._coeffs
-    low = min(coeffs)
-    if any((e - low) % 6 for e in coeffs):
-        raise ValueError(f"({f}) is not a q-polynomial on stride 6")
-    slots = (max(coeffs) - low) // 6 + 1
-    half = 1 << (8 * nbytes - 2)
-    data = b"".join((coeffs.get(e, 0) + half).to_bytes(nbytes, "little") for e in range(low, low + 6 * slots, 6))
-    return int.from_bytes(data, "little") - _slot_bias(nbytes, slots), low, slots
-
-
 def _unpack(parts: Iterable[tuple[int, int, int]], nbytes: int) -> LaurentScalar:
-    """The sum of the scalars that parts (v, low, slots) stand for, each as
-    _pack gives it; the inverse of _pack.
+    """The sum of the scalars that parts (v, low, slots) stand for: a part is
+    sum c_i p^(low+6i) over its slots i, packed as v = sum c_i 2^(wi).
 
     Parts whose lows agree mod 6 are shifted into place and added as ints, so
     each class of exponents is read back once, as one dict; every coefficient
@@ -448,29 +434,17 @@ def qnum(k: int) -> LaurentScalar:
     return LaurentScalar({-3 * (k - 1 - 2 * t): 1 for t in range(k)})
 
 
-@lru_cache(maxsize=None)
-def qfact(d: int) -> LaurentScalar:
-    """The quantum factorial [d]! = [1][2]...[d]."""
-    if d < 0:
-        raise ValueError("quantum factorial needs d >= 0")
-    return ONE if d == 0 else qfact(d - 1) * qnum(d)
-
-
 def _positive_top(n: int, j: int) -> tuple[int, int]:
     """(top, s) with qbinom(n, j) == s * qbinom(top, j) and top >= 0, for j >= 0:
     the negative-top sign rule qbinom(-d-1, j) == (-1)^j * qbinom(d+j, j)."""
     return (n, 1) if n >= 0 else (j - n - 1, -1 if j % 2 else 1)
 
 
-def _qbinom_norm(n: int, j: int) -> int:
-    """The sum of the absolute values of the coefficients of qbinom(n, j), all of
-    which share one sign: |binomial(n, j)|."""
-    return comb(_positive_top(n, j)[0], j) if j >= 0 else 0
-
-
 def _binomial(n: int, j: int) -> int:
-    """binomial(n, j) as a polynomial in n (zero for j < 0): qbinom(n, j) at q = 1."""
-    return prod(range(n, n - j, -1)) // factorial(j) if j >= 0 else 0
+    """binomial(n, j) as a polynomial in n (zero for j < 0): qbinom(n, j) at q = 1,
+    whose coefficients share one sign and so sum to |binomial(n, j)| in absolute value."""
+    top, s = _positive_top(n, j)
+    return s * comb(top, j) if j >= 0 else 0
 
 
 def _check_at_one(value: LaurentScalar, expected: int, what: str) -> LaurentScalar:
@@ -482,17 +456,42 @@ def _check_at_one(value: LaurentScalar, expected: int, what: str) -> LaurentScal
     return value
 
 
+# The packed q-binomials of qbinom_product_sum, by (top, bottom, bytes per
+# slot), with the least recently used dropped beyond 1,024.  recursions at
+# l <= 20 plus magic-recursion at nu <= 12 reach 1,089 of them, four rounds of
+# mixed xi and magic queries about 2,300; the long tops those rounds add cost
+# ~600 bytes each to keep and ~75 us to compute again.
+@lru_cache(maxsize=1024)
+def _packed_qbinom(n: int, j: int, nbytes: int) -> tuple[int, int, int]:
+    """qbinom(n, j) packed at nbytes bytes per slot, as a part (v, low, slots)
+    of _unpack; only for a nonzero qbinom(n, j), i.e. j >= 0 and not 0 <= n < j.
+
+    The Gaussian binomial in y = q^2, (y^{m+1} - 1)...(y^{m+r} - 1) /
+    (y - 1)...(y^r - 1) with r = min(j, top - j) and m = top - r, is evaluated
+    at y = 2^w as one exact division of integers, and the quotient is already
+    the packed value: its coefficients sit in the slots.  A negative top
+    contributes its sign.
+    """
+    top, s = _positive_top(n, j)
+    r = min(j, top - j)  # qbinom(top, j) == qbinom(top, top - j)
+    m = top - r
+    w = 8 * nbytes
+    num = prod((1 << w * (m + t)) - 1 for t in range(1, r + 1))
+    den = prod((1 << w * t) - 1 for t in range(1, r + 1))
+    val, rem = divmod(num, den)
+    if rem:
+        raise ExactDivisionError(f"the Gaussian binomial ({top}, {j}) left a remainder at y = 2^{w}")
+    return s * val, -3 * r * m, r * m + 1
+
+
 @lru_cache(maxsize=None)
 def qbinom(n: int, j: int) -> LaurentScalar:
     """The balanced quantum binomial coefficient, defined for any integer top.
 
-    It is q^{-j(n-j)} times the Gaussian binomial in y = q^2, the product
-    (y^{n-j+1} - 1)...(y^n - 1) / (y - 1)...(y^j - 1).  That is evaluated at
-    y = 2^w, with slots of w bits that hold the coefficients (they are positive
-    and sum to binomial(n, j)), as one exact division of integers, and the
-    quotient is read back slot by slot.  It is 0 for j < 0 and for 0 <= n < j,
-    and follows the negative-top sign rule qbinom(-d-1, j) == (-1)^j *
-    qbinom(d+j, j).
+    It is q^{-j(n-j)} times the Gaussian binomial in y = q^2, packed at the
+    slot width its coefficients need (see _packed_qbinom), read back and
+    checked at q = 1.  It is 0 for j < 0 and for 0 <= n < j, and follows the
+    negative-top sign rule qbinom(-d-1, j) == (-1)^j * qbinom(d+j, j).
 
     >>> qbinom(2, 1) == qnum(2)
     True
@@ -503,18 +502,38 @@ def qbinom(n: int, j: int) -> LaurentScalar:
     """
     if j < 0 or 0 <= n < j:
         return ZERO
-    top, s = _positive_top(n, j)
-    r = min(j, top - j)  # qbinom(top, j) == qbinom(top, top - j)
-    m = top - r
-    nbytes = _slot_bytes(comb(top, j))
-    w = 8 * nbytes
-    num = prod((1 << w * (m + t)) - 1 for t in range(1, r + 1))
-    den = prod((1 << w * t) - 1 for t in range(1, r + 1))
-    val, rem = divmod(num, den)
-    if rem:
-        raise ExactDivisionError(f"the Gaussian binomial ({top}, {j}) left a remainder at y = 2^{w}")
-    out = _unpack([(s * val, -3 * r * m, r * m + 1)], nbytes)
-    return _check_at_one(out, _binomial(n, j), f"qbinom({n}, {j})")
+    expected = _binomial(n, j)
+    nbytes = _slot_bytes(abs(expected))
+    # Uncached, so that the values qbinom's own cache keeps do not also fill
+    # the 1,024 entries of _packed_qbinom.
+    out = _unpack([_packed_qbinom.__wrapped__(n, j, nbytes)], nbytes)
+    return _check_at_one(out, expected, f"qbinom({n}, {j})")
+
+
+def qbinom_product_sum(terms: Iterable[tuple[int, int, int, int, int]], what: str) -> LaurentScalar:
+    """The sum of qbinom(n1, j1) * qbinom(n2, j2) * p^shift over the tuples
+    (n1, j1, n2, j2, shift) of terms.
+
+    Each product of two packed q-binomials is one product of ints, the
+    products are added as ints, one per class of exponents mod 6, and read
+    back once.  The slots are as wide as the sum of the absolute values of the
+    terms at q = 1, which bounds every coefficient of the sum; the sum is
+    checked at q = 1 against the sum of those values, and an ArithmeticError
+    naming what is raised if it reads back wrong.
+
+    >>> qbinom_product_sum([(2, 1, 3, 1, 0)], "[2]*[3]") == qnum(2) * qnum(3)
+    True
+    """
+    at_one = [(_binomial(n1, j1) * _binomial(n2, j2), n1, j1, n2, j2, shift)
+              for n1, j1, n2, j2, shift in terms]
+    at_one = [t for t in at_one if t[0]]
+    nbytes = _slot_bytes(sum(abs(t[0]) for t in at_one))
+    products = []
+    for _, n1, j1, n2, j2, shift in at_one:
+        va, low_a, slots_a = _packed_qbinom(n1, j1, nbytes)
+        vb, low_b, slots_b = _packed_qbinom(n2, j2, nbytes)
+        products.append((va * vb, low_a + low_b + shift, slots_a + slots_b - 1))
+    return _check_at_one(_unpack(products, nbytes), sum(t[0] for t in at_one), what)
 
 
 @lru_cache(maxsize=None)

@@ -12,19 +12,16 @@ union of two parity intervals, and that factorization drives everything else
 here: the k <-> L-k symmetry, the Chu-Vandermonde special cases, a recursion
 in nu, and four telescoping-sum identities.
 
-`magic` adds the products of packed q-binomials as ints and reads the sum back
-once (Kronecker substitution, see laurent); `term` keeps one summand as a
-product of scalars, the definition the packed sum is tested against.
+`magic` is one `qbinom_product_sum` (Kronecker substitution, see laurent);
+`term` keeps one summand as a product of scalars, the definition the packed
+sum is tested against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .laurent import (
-    LaurentScalar, ONE, ZERO, _binomial, _check_at_one, _pack, _qbinom_norm, _slot_bytes, _unpack,
-    binom2, lsum, q_pow, qbinom, qnum, sign,
-)
+from .laurent import LaurentScalar, ONE, ZERO, binom2, lsum, q_pow, qbinom, qbinom_product_sum, qnum, sign
 
 
 def _check_eps(eps: int) -> int:
@@ -45,11 +42,9 @@ def term(nu: int, k: int, beta: int, eps: int, j: int) -> LaurentScalar:
 def magic(nu: int, k: int, beta: int, eps: int) -> LaurentScalar:
     """Sum the terms over j; zero for beta < 0, one for beta = 0.
 
-    The sum is taken by Kronecker substitution (see laurent): every term is a
-    product of two packed q-binomials, the products are added as ints, one per
-    class of exponents mod 6, and read back once.  The slots are as wide as the
-    sum over j of the products of the operands' coefficient sums, which bounds
-    every coefficient of the sum.
+    The sum is one laurent.qbinom_product_sum, taken by Kronecker
+    substitution and checked at q = 1, where by Vandermonde it is
+    binomial(nu-2, beta).
 
     >>> magic(5, 3, 0, 0) == 1
     True
@@ -57,27 +52,9 @@ def magic(nu: int, k: int, beta: int, eps: int) -> LaurentScalar:
     True
     """
     _check_eps(eps)
-    norms = [(_qbinom_norm(k - 1, beta - j), _qbinom_norm(nu - k - 1, j)) for j in range(beta + 1)]
-    nbytes = _slot_bytes(sum(a * b for a, b in norms))
     step = 3 * (3 * nu - 2 * k + 2 * eps)  # q^(-3nu+2k-2eps) == p^step
-    products = []
-    for j, (a, b) in enumerate(norms):
-        if a and b:
-            va, low_a, slots_a = _packed_qbinom(k - 1, beta - j, nbytes)
-            vb, low_b, slots_b = _packed_qbinom(nu - k - 1, j, nbytes)
-            products.append((va * vb, low_a + low_b + j * step, slots_a + slots_b - 1))
-    value = _unpack(products, nbytes)
-    return _check_at_one(value, _binomial(nu - 2, beta), f"magic({nu}, {k}, {beta}, {eps})")
-
-
-# The packed operands of magic, by (top, bottom, bytes per slot), with the
-# least recently used dropped beyond 1,024.  recursions at l <= 20 plus
-# magic-recursion at nu <= 12 reach 1,089 of them, four rounds of mixed xi and
-# magic queries about 2,300; the long tops those rounds add cost ~600 bytes
-# each to keep and ~75 us to pack again.
-@lru_cache(maxsize=1024)
-def _packed_qbinom(n: int, j: int, nbytes: int) -> tuple[int, int, int]:
-    return _pack(qbinom(n, j), nbytes)
+    return qbinom_product_sum(((k - 1, beta - j, nu - k - 1, j, j * step) for j in range(beta + 1)),
+                              f"magic({nu}, {k}, {beta}, {eps})")
 
 
 # -- generating functions ----------------------------------------------------

@@ -241,12 +241,3 @@ def demazure(i: int, f: TriPoly) -> TriPoly:
             term = coeff * z_pow(shift)
             out[key] = out.get(key, ZERO) + (term if sgn > 0 else -term)
     return TriPoly(out)
-
-
-def drop_x123_multiples(f: TriPoly) -> TriPoly:
-    """Drop every term divisible by x1*x2*x3.
-
-    Such terms are annihilated by any composition of divided-difference
-    operators that ends in a scalar, so they may be discarded between steps.
-    """
-    return TriPoly({e: c for e, c in f.terms().items() if min(e) == 0})

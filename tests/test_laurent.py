@@ -3,14 +3,14 @@ import sys
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdemazure import laurent
 from qdemazure.laurent import (
     _DENSE_MAX_SPREAD,
     _DENSE_MIN_TERMS,
-    _pack,
+    _packed_qbinom,
     _unpack,
     ONE,
     ZERO,
@@ -22,7 +22,6 @@ from qdemazure.laurent import (
     p_pow,
     q_pow,
     qbinom,
-    qfact,
     qnum,
     rho,
     rho_prime,
@@ -347,6 +346,30 @@ def test_qbinom_matches_the_division_chain(n, j):
     assert qbinom(n, j) == _qbinom_by_division_chain(n, j)
 
 
+@given(st.integers(-20, 24), st.integers(0, 14))
+@example(-20, 14)
+@example(24, 12)
+@example(0, 0)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_packed_qbinom_reads_back_at_every_width(n, j):
+    """The one encoder, at qbinom's own width and at every wider slot up to
+    magic's widest, 10 bytes at nu = 22."""
+    want = _qbinom_by_division_chain(n, j)
+    assume(not want.is_zero())
+    for nbytes in range(laurent._slot_bytes(abs(want.at_one())), 11):
+        assert _unpack([_packed_qbinom(n, j, nbytes)], nbytes) == want
+
+
+def _pack(f, nbytes):
+    """(v, low, slots) with f == sum c_i p^(low+6i) and v = sum c_i 2^(wi), for a
+    nonzero f on one class of exponents mod 6."""
+    coeffs = f.coefficients()
+    low = min(coeffs)
+    assert all((e - low) % 6 == 0 for e in coeffs)
+    slots = (max(coeffs) - low) // 6 + 1
+    return sum(coeffs.get(low + 6 * i, 0) << (8 * nbytes * i) for i in range(slots)), low, slots
+
+
 @given(st.integers(1, 10), st.integers(-40, 40), st.data())
 @settings(max_examples=80, derandomize=True)
 def test_pack_round_trip_at_the_slot_limits(nbytes, low, data):
@@ -357,23 +380,14 @@ def test_pack_round_trip_at_the_slot_limits(nbytes, low, data):
     ends = st.sampled_from((top, -top))
     coeffs = [data.draw(ends), *data.draw(st.lists(inner, max_size=30)), data.draw(ends)]
     f = LaurentScalar({low + 6 * i: c for i, c in enumerate(coeffs)})
-    v, got_low, slots = _pack(f, nbytes)
-    assert (got_low, slots) == (low, len(coeffs))
-    assert v == sum(c << (8 * nbytes * i) for i, c in enumerate(coeffs))
-    assert _unpack([(v, got_low, slots)], nbytes) == f
+    assert _pack(f, nbytes)[1:] == (low, len(coeffs))
+    assert _unpack([_pack(f, nbytes)], nbytes) == f
     g = f * p_pow(3) * data.draw(st.sampled_from((1, -1)))
     assert _unpack([_pack(f, nbytes), _pack(g, nbytes)], nbytes) == f + g
     # parts on one class of exponents are added as ints before they are read back
-    h = f * p_pow(6 * (slots + data.draw(st.integers(0, 3))))
+    h = f * p_pow(6 * (len(coeffs) + data.draw(st.integers(0, 3))))
     assert _unpack([_pack(h, nbytes), _pack(f, nbytes)], nbytes) == f + h
     assert _unpack([_pack(f, nbytes), _pack(g, nbytes), _pack(-f, nbytes)], nbytes) == g
-
-
-def test_pack_rejects_what_does_not_fit():
-    with pytest.raises(ValueError):
-        _pack(p_pow(0) + p_pow(3), 2)
-    with pytest.raises(OverflowError):
-        _pack(LaurentScalar({0: 1 << 20}), 2)
 
 
 def test_a_slot_below_the_bound_trips_the_q1_guard(monkeypatch):
@@ -408,13 +422,6 @@ def test_chu_vandermonde_convolution():
                 for j in range(beta + 1):
                     total = total + qbinom(M, beta - j) * qbinom(N, j) * q_pow(j * (M + N))
                 assert total == q_pow(N * beta) * qbinom(M + N, beta)
-
-
-def test_qfact():
-    assert qfact(0) == ONE
-    assert qfact(3) == qnum(1) * qnum(2) * qnum(3)
-    with pytest.raises(ValueError):
-        qfact(-1)
 
 
 def test_rho_examples():

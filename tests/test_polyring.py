@@ -11,7 +11,6 @@ from qdemazure.polyring import (
     X2,
     X3,
     demazure,
-    drop_x123_multiples,
     normalize_index,
     s_action,
     sigma,
@@ -128,12 +127,6 @@ def test_quadratic_braid_leibniz_small():
     for f, g in itertools.product(small, small):
         for i in (1, 2, 3):
             assert demazure(i, f * g) == demazure(i, f) * g + s_action(i, f) * demazure(i, g)
-
-
-def test_drop_x123_multiples():
-    f = X1 * X2 * X3 + X1 * X1
-    assert drop_x123_multiples(f) == X1 * X1
-    assert drop_x123_multiples(TriPoly.zero()).is_zero()
 
 
 def test_scalar_predicates():

@@ -300,6 +300,19 @@ def test_evaluators_are_independent():
         assert not named & {"recursion_step", "_xi_recursive"}, fn
 
 
+def test_only_laurent_knows_the_packed_format():
+    """No other module reaches for a private name of laurent, such as the
+    packed q-binomials and their slot width."""
+    for path in sorted(Path(qdemazure.__file__).parent.glob("*.py")):
+        if path.stem == "laurent":
+            continue
+        private = {name for name in _imports(path.stem).get("laurent", ()) if name.startswith("_")}
+        private |= {node.attr for node in ast.walk(_package_tree(path.stem))
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "laurent" and node.attr.startswith("_")}
+        assert not private, f"{path.name} uses {sorted(private)} of laurent"
+
+
 def test_package_exports_only_the_documented_api():
     readme = Path(qdemazure.__file__).resolve().parents[2] / "README.md"
     if not readme.exists():
