@@ -306,9 +306,7 @@ def xi_rou_specialized(m: int, a: int, i: int, method: str = "formula") -> CycEl
     method 'formula' goes through the closed formula, 'oracle' through the
     brute-force operator composition.
     """
-    b = 3 * m - a - 1
-    if b < 0:
-        raise ValueError(f"a={a} out of range 0..{3 * m - 1}")
+    b = RouParams.from_ma(m, a).b
     if method == "formula":
         return specialize(xi_formula(a, b, i, 2 * m), m)
     if method == "oracle":

@@ -37,7 +37,7 @@ from .magic import (
 )
 from .polyring import TriPoly, demazure, normalize_index, s_action, sigma, tau, x_var
 from .report import Recorder, VerifyReport
-from .words import recursion_step, xi_forward, xi_oracle, xi_recursive
+from .words import dual_rows, recursion_step, xi_forward, xi_oracle, xi_recursive
 
 
 @dataclass
@@ -65,12 +65,6 @@ def _monomials(max_deg: int) -> list[TriPoly]:
             for e2 in range(d - e1 + 1):
                 out.append(TriPoly.monomial((e1, e2, d - e1 - e2)))
     return out
-
-
-def _abi_range(max_len: int):
-    for ell in range(1, max_len + 1):
-        for a in range(ell):
-            yield a, ell - 1 - a
 
 
 def _formula_layer(ell: int) -> dict[tuple[int, int, int, int], LaurentScalar]:
@@ -199,13 +193,13 @@ def suite_recursions(bounds: Bounds, jobs: int = 1) -> VerifyReport:
 # -- suite: formula vs oracle vs recursion ---------------------------------------
 
 
-def _triple_equal_unit(args: tuple[int, int]) -> Recorder:
-    a, b = args
-    ell = a + b + 1
+def _triple_equal_unit(args: tuple[int, int, int]) -> Recorder:
+    """The three checks at every word of the (a, j) chain up to length max_len."""
+    a, j, max_len = args
     rec = Recorder()
-    for i in (1, 2, 3):
-        for k in range(ell + 1):
-            oracle = xi_oracle(a, b, i, k)
+    for b, i, row in dual_rows(a, j, range(a + 1, max_len + 1)):
+        ell = a + b + 1
+        for k, oracle in enumerate(row):
             rec.eq(("formula-vs-oracle", a, b, i, k), cf.xi_formula(a, b, i, k), oracle)
             rec.eq(("recursion-vs-oracle", a, b, i, k), xi_recursive(a, b, i, k), oracle)
             if ell <= 8:
@@ -219,7 +213,7 @@ def suite_formula_vs_oracle(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     oracle with xi_forward, which keeps x1*x2*x3 multiples, for lengths up to 8."""
     max_len = bounds.len_(12)
     rec = Recorder()
-    units = list(_abi_range(max_len))
+    units = [(a, j, max_len) for a in range(max_len) for j in (1, 2, 3)]
     for unit in _run_units(_triple_equal_unit, units, jobs):
         rec.merge(unit)
     return rec.report("formula-vs-oracle", {"max_len": max_len, "jobs": jobs})

@@ -10,10 +10,11 @@ a scalar in Z[z^{±1}]; this module computes that scalar two independent ways:
 * xi_oracle       -- brute force, by the transposed composition: the constant-
                      term functional is pulled back through the word one
                      divided-difference operator at a time, leftmost letter
-                     first, which gives every k of a word in one pass
-                     (_dual_row); xi_forward pushes each monomial forward
-                     through the operators instead, keeping every term, as
-                     the reference the dual is checked against;
+                     first.  Every word is a prefix of one (a, j) chain
+                     (_chain), so one pass along a chain gives every k of
+                     every word on it (dual_rows); xi_forward pushes each
+                     monomial forward through the operators instead, keeping
+                     every term, as the reference the dual is checked against;
 * xi_recursive    -- structural recursion on (a, b, i, k) through the length-
                      reducing recursion formulas and the four symmetries,
                      stated once in recursion_step.
@@ -27,9 +28,16 @@ from .laurent import LaurentScalar, ZERO, ONE, lsum, sign, z_pow
 from .polyring import TriPoly, check_quadruple, demazure, demazure_terms, normalize_index, check_index
 
 
+def _chain(a: int, j: int, length: int) -> tuple[int, ...]:
+    """The first `length` letters of the (a, j) chain: a clockwise run of
+    length a up to j, the peak j+1, then j, j-1, j-2, ... .  Its prefix of
+    length a+b+1 is w(a, b, i), with i = j - b + 1 mod 3."""
+    return tuple(normalize_index(j - a + 1 + t if t < a else j + 1 + a - t) for t in range(length))
+
+
 def build_word(a: int, b: int, i: int) -> tuple[int, ...]:
-    """Construct w(a, b, i): clockwise run of length a up to j, peak j+1, then
-    widdershins run of length b from j down to i, where j = i + b - 1 mod 3.
+    """Construct w(a, b, i): the prefix of length a+b+1 of the (a, j) chain,
+    where j = i + b - 1 mod 3, so that its widdershins run of length b ends in i.
 
     >>> build_word(3, 5, 2)
     (1, 2, 3, 1, 3, 2, 1, 3, 2)
@@ -37,20 +45,18 @@ def build_word(a: int, b: int, i: int) -> tuple[int, ...]:
     (2,)
     """
     check_quadruple(a, b, i, 0)  # k = 0 lies in the range of every word
-    j = normalize_index(i + b - 1)
-    letters = [normalize_index(j - a + 1 + t) for t in range(a)]
-    letters.append(normalize_index(j + 1))
-    letters.extend(normalize_index(j - t) for t in range(b))
-    if len(letters) != a + b + 1 or letters[-1] != i:
+    letters = _chain(a, normalize_index(i + b - 1), a + b + 1)
+    if letters[-1] != i:
         raise RuntimeError(f"build_word({a},{b},{i}) gave {letters}")
-    return tuple(letters)
+    return letters
 
 
 def xi_oracle(a: int, b: int, i: int, k: int) -> LaurentScalar:
-    """The scalar of w(a, b, i) on x1^k * x2^(l-k), read from the dual row of
-    the word (_dual_row)."""
-    check_quadruple(a, b, i, k)
-    return _dual_row(a, b, i)[k]
+    """The scalar of w(a, b, i) on x1^k * x2^(l-k): entry k of the one dual
+    row that the chain of the word yields at its length (dual_rows)."""
+    ell = check_quadruple(a, b, i, k)
+    ((_, _, row),) = dual_rows(a, normalize_index(i + b - 1), range(ell, ell + 1))
+    return row[k]
 
 
 def xi_forward(a: int, b: int, i: int, k: int) -> LaurentScalar:
@@ -69,21 +75,22 @@ def xi_forward(a: int, b: int, i: int, k: int) -> LaurentScalar:
     return value
 
 
-# Sweeps read every k of one word back to back, while rou-xi reads one k of
-# each long word, so a few rows are enough and more only hold memory.
-@lru_cache(maxsize=3)
-def _dual_row(a: int, b: int, i: int) -> tuple[LaurentScalar, ...]:
-    """xi_oracle(a, b, i, k) for k = 0..l, by the transposed composition.
+def dual_rows(a: int, j: int, lengths):
+    """Stream the dual rows along the (a, j) chain, in one pass up to
+    lengths[-1]: for each prefix length l in the increasing `lengths` (each at
+    least a+1), yield (b, i, row) with w(a, b, i) that prefix and
+    row[k] = xi_oracle(a, b, i, k) for k = 0..l.
 
     With phi_0 the constant term and phi_j(m) = phi_(j-1)(demazure(w_j, m)) for
     the letters w_j from the leftmost one, the scalar is phi_l(x1^k x2^(l-k)).
     Each phi_j is tabulated on the degree-j monomials that x1*x2*x3 does not
     divide, since no composite of the operators takes a multiple of x1*x2*x3
-    to a nonzero scalar; its values stay flat z-exponent -> int dicts.
+    to a nonzero scalar; its values stay flat z-exponent -> int dicts.  Only
+    the rows of the given lengths are built, and none is kept.
     """
-    word = build_word(a, b, i)
+    check_quadruple(a, lengths[0] - a - 1, j, 0)  # the shortest word asked for
     phi: dict[tuple[int, int, int], dict[int, int]] = {(0, 0, 0): {0: 1}}
-    for deg, letter in enumerate(word, start=1):
+    for deg, letter in enumerate(_chain(a, j, lengths[-1]), start=1):
         nxt = {}
         for m in _x123_free_monomials(deg):
             acc: dict[int, int] = {}
@@ -94,10 +101,10 @@ def _dual_row(a: int, b: int, i: int) -> tuple[LaurentScalar, ...]:
             if acc:
                 nxt[m] = acc
         phi = nxt
-    ell = len(word)
-    # z = p^2: LaurentScalar stores p-exponents
-    return tuple(LaurentScalar({2 * e: c for e, c in phi.get((k, ell - k, 0), {}).items()})
-                 for k in range(ell + 1))
+        if deg in lengths:  # z = p^2: LaurentScalar stores p-exponents
+            yield deg - a - 1, letter, tuple(
+                LaurentScalar({2 * e: c for e, c in phi.get((k, deg - k, 0), {}).items()})
+                for k in range(deg + 1))
 
 
 def _x123_free_monomials(deg: int) -> list[tuple[int, int, int]]:

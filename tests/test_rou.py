@@ -178,3 +178,13 @@ def test_oracle_specialization_m2():
     for a in range(6):
         for i in (1, 2, 3):
             assert xi_rou_specialized(2, a, i, "oracle") == xi_rou_formula(2, a, i)
+
+
+@pytest.mark.parametrize("m, a", [(2, -1), (2, 6), (1, 0)])
+def test_xi_rou_methods_reject_the_same_domain(m, a):
+    with pytest.raises(ValueError) as exc:
+        xi_rou_formula(m, a, 1)
+    for method in ("formula", "oracle"):
+        with pytest.raises(ValueError) as other:
+            xi_rou_specialized(m, a, 1, method)
+        assert str(other.value) == str(exc.value), method

@@ -130,11 +130,7 @@ def test_truncation_check_can_fail(monkeypatch):
         return [e for e in real(deg) if e[2] == 0]
 
     monkeypatch.setattr(words, "_x123_free_monomials", drops_too_much)
-    words._dual_row.cache_clear()
-    try:
-        report = run_suite("formula-vs-oracle", Bounds(max_len=4), jobs=1)
-    finally:
-        words._dual_row.cache_clear()
+    report = run_suite("formula-vs-oracle", Bounds(max_len=4), jobs=1)
     assert any(c.inputs[0] == "truncation" for c in report.counterexamples)
 
 
@@ -292,7 +288,7 @@ def _imports(module: str) -> dict[str, set[str]]:
 def test_evaluators_are_independent():
     assert _imports("closed_formula")["words"] == {"base_case"}
     assert not _imports("words").keys() & {"closed_formula", "magic", "rou"}
-    for fn in ("xi_oracle", "xi_forward", "_dual_row", "_x123_free_monomials"):
+    for fn in ("xi_oracle", "xi_forward", "dual_rows", "_chain", "_x123_free_monomials"):
         tree = next(node for node in ast.walk(_package_tree("words"))
                     if isinstance(node, ast.FunctionDef) and node.name == fn)
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -2,7 +2,7 @@ import pytest
 
 from qdemazure.closed_formula import xi_formula
 from qdemazure.laurent import ONE, ZERO, z_pow
-from qdemazure.words import base_case, build_word, xi_forward, xi_oracle, xi_recursive
+from qdemazure.words import base_case, build_word, dual_rows, xi_forward, xi_oracle, xi_recursive
 
 
 def all_abi(max_len):
@@ -82,6 +82,26 @@ def test_evaluators_reject_the_same_domain(args, message):
         with pytest.raises(ValueError) as exc:
             xi(*args)
         assert str(exc.value) == message, xi.__name__
+
+
+def test_chains_cover_every_word_once():
+    for L in range(1, 11):
+        seen = [(a, b, i) for a in range(L) for j in (1, 2, 3)
+                for b, i, _ in dual_rows(a, j, range(a + 1, L + 1))]
+        assert sorted(seen) == sorted(all_abi(L)), L
+    # the long pass carries no state from one prefix length into the next row
+    for a in range(10):
+        for j in (1, 2, 3):
+            for b, i, row in dual_rows(a, j, range(a + 1, 11)):
+                assert list(row) == [xi_oracle(a, b, i, k) for k in range(a + b + 2)], (a, b, i)
+
+
+def test_dual_rows_skip_lengths_not_asked_for():
+    rows = list(dual_rows(2, 3, [4, 7]))
+    assert [(b, i) for b, i, _ in rows] == [(1, 3), (4, 3)]
+    assert rows[1][2] == tuple(xi_oracle(2, 4, 3, k) for k in range(8))
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(dual_rows(2, 3, [2]))
 
 
 def test_xi_oracle_truncation_equivalence():
