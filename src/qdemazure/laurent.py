@@ -10,41 +10,37 @@ hence arbitrary precision.
 A scalar never stores a zero coefficient, and every exponent and coefficient
 is an int.  The public constructor checks the types and filters the zeros out;
 results that are zero-free by construction (a product with a monomial, a
-negation, `bar`, the nonzero slots of a dense product or of a packed int read
-back, a sum or difference that deletes each key as it cancels) are wrapped
-without that copy, as are the monomials and the double loop of a product,
-which do their own checks; `lsum` adds any number of scalars into one dict.
-Multiplication is one pure-Python kernel with three paths: a shift when an
-operand is a monomial, dense rows of coefficients on the common exponent
-stride when both operands are large and packed, and the plain double loop for
-everything else (see `LaurentScalar.__mul__`).
+negation, `bar`, the nonzero slots of a packed int read back, a sum or
+difference that deletes each key as it cancels) are wrapped without that copy,
+as are the monomials and the double loop of a product, which do their own
+checks; `lsum` adds any number of scalars into one dict.  Multiplication is
+one pure-Python kernel with three paths: a shift when an operand is a
+monomial, a product of packed ints when both operands are large, and the plain
+double loop for everything else (see `LaurentScalar.__mul__`).
 
 This module also provides the quantum-number toolkit built on top of that
 ring: balanced quantum numbers [k], quantum binomial coefficients, sums of
 products of two of them (`qbinom_product_sum`, which the magic sums are), and
-the products rho / rho_prime of quantum-integer factors.  The quantum
-binomials and their product sums are computed by Kronecker substitution, and
-this module alone knows the packed format: a q-polynomial on its exponent
-stride is one int with a slot of whole bytes per coefficient, a q-binomial is
-packed straight from one exact division of integers (`_packed_qbinom`) and
-read back by `_unpack`, the slot width comes from a bound on the
-coefficients, and a check at q = 1 raises ArithmeticError if a value reads
-back wrong.
+the products rho / rho_prime of quantum-integer factors.  The large products,
+the quantum binomials and their product sums are computed by Kronecker
+substitution, and this module alone knows the packed format: a q-polynomial on
+its exponent stride is one int with a slot of whole bytes per coefficient, a
+scalar is packed by `_pack` and a q-binomial straight from one exact division
+of integers (`_packed_qbinom`), both are read back by `_unpack`, the slot width
+comes from a bound on the coefficients, and a check at q = 1 raises
+ArithmeticError if a value reads back wrong.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, repeat
-from math import comb, gcd, prod
-from operator import add, itemgetter, mul, sub
+from itertools import compress
+from math import comb, prod
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping
 
-# The product kernel lays the longer operand out densely once the shorter one
-# has this many terms (the measured crossover against the dict loop), unless a
-# dense row would hold more than _DENSE_MAX_SPREAD slots per stored term.
-_DENSE_MIN_TERMS = 16
-_DENSE_MAX_SPREAD = 3
+# The product kernel packs operands of at least this many terms (the measured crossover).
+_PACK_MIN_TERMS = 16
 
 
 class ExactDivisionError(ArithmeticError):
@@ -161,12 +157,12 @@ class LaurentScalar:
 
         - One operand is a monomial c0*p^e0: shift and scale the other one.
           Nonzero ints have a nonzero product, so nothing needs filtering.
-        - The shorter operand has at least _DENSE_MIN_TERMS terms and both
-          sit densely on their common exponent stride g (the q-polynomials
-          sit on g = 6): lay the longer one out as a row of coefficients on
-          that stride and add one scaled copy of the row per term of the
-          shorter one into an accumulator, then keep its nonzero slots.
-        - Otherwise (small or sparse operands): the plain double loop.
+        - The shorter operand has at least _PACK_MIN_TERMS terms, each one's
+          exponents lie in one class mod 6 (as a q-polynomial's do), and the
+          two fill no more slots than the loop makes term products: multiply
+          them as ints packed by _pack at the slot width their L1 norms
+          bound, then read the product back and check it at q = 1.
+        - Otherwise (small, sparse or mixed-class operands): the double loop.
 
         >>> (1 + p_pow(6)) * (1 - p_pow(6))
         LaurentScalar('1 - p^12')
@@ -180,20 +176,12 @@ class LaurentScalar:
         if len(short) == 1:
             ((e0, c0),) = short.items()
             return LaurentScalar._wrap({e + e0: c * c0 for e, c in long.items()})
-        if len(short) >= _DENSE_MIN_TERMS:
-            s_min, l_min, l_max = min(short), min(long), max(long)
-            g = gcd(*map(sub, short, repeat(s_min)), *map(sub, long, repeat(l_min)))
-            s_span, width = (max(short) - s_min) // g + 1, (l_max - l_min) // g + 1
-            if s_span <= _DENSE_MAX_SPREAD * len(short) and width <= _DENSE_MAX_SPREAD * len(long):
-                row = list(map(long.get, range(l_min, l_max + 1, g), repeat(0)))
-                acc = [0] * (s_span + width - 1)
-                for e, c in short.items():
-                    i = (e - s_min) // g
-                    j = i + width
-                    acc[i:j] = map(add, acc[i:j], map(mul, row, repeat(c)))
-                base = s_min + l_min
-                slots = range(base, base + g * len(acc), g)
-                return LaurentScalar._wrap(dict(compress(zip(slots, acc), acc)))
+        if len(short) >= _PACK_MIN_TERMS:
+            nbytes = _slot_bytes(sum(map(abs, short.values())) * sum(map(abs, long.values())))
+            a = _pack(short, nbytes, budget := len(short) * len(long))
+            if b := a and _pack(long, nbytes, budget - a[2]):
+                product = _unpack([(a[0] * b[0], a[1] + b[1], a[2] + b[2] - 1)], nbytes)
+                return _check_at_one(product, sum(short.values()) * sum(long.values()), "a packed product")
         out: dict[int, int] = {}
         for e1, c1 in short.items():
             for e2, c2 in long.items():
@@ -337,6 +325,18 @@ def _slot_bytes(bound: int) -> int:
 def _slot_bias(nbytes: int, slots: int) -> int:
     """The int with 2^(w-2) in each of the slots, w = 8 * nbytes."""
     return int.from_bytes((bytes(nbytes - 1) + b"\x40") * slots, "little")
+
+
+def _pack(coeffs: Mapping[int, int], nbytes: int, max_slots: int) -> tuple[int, int, int] | None:
+    """The part (v, low, slots) of _unpack for a nonzero scalar, every |c| < 2^(w-2);
+    None unless its exponents share one class mod 6 and fill at most max_slots."""
+    low = min(coeffs)
+    slots = (max(coeffs) - low) // 6 + 1
+    if slots > max_slots or any((e - low) % 6 for e in coeffs):
+        return None
+    half = 1 << (8 * nbytes - 2)
+    data = b"".join((coeffs.get(e, 0) + half).to_bytes(nbytes, "little") for e in range(low, low + 6 * slots, 6))
+    return int.from_bytes(data, "little") - _slot_bias(nbytes, slots), low, slots
 
 
 def _unpack(parts: Iterable[tuple[int, int, int]], nbytes: int) -> LaurentScalar:

@@ -204,16 +204,13 @@ def magic_genfun_for3(nu: int, k: int, eps: int, bound: int) -> GenSeries:
 # -- identities ---------------------------------------------------------------
 
 
-def magic_symmetry_check(nu: int, beta: int, eps: int, k: int) -> bool:
-    """Check magic(nu, k, beta, eps) == q^(beta*(2k-L)) * magic(nu, L-k, beta, eps)
-    with L = 2*nu + eps, on the two windows of genfun_window, which make up
-    1 <= k <= L-1 minus the gap nu..nu+eps."""
+def magic_symmetry_sides(nu: int, k: int, beta: int, eps: int) -> tuple[LaurentScalar, LaurentScalar]:
+    """Both sides of magic(nu, k, beta, eps) == q^(beta*(2k-L)) * magic(nu, L-k, beta, eps), L = 2*nu + eps,
+    on the two windows of genfun_window: 1 <= k <= L-1 minus the gap nu..nu+eps."""
     if genfun_window(nu, k, eps) is None:
         raise ValueError(f"k={k} is outside both generating-function windows")
     L = 2 * nu + eps
-    lhs = magic(nu, k, beta, eps)
-    rhs = q_pow(beta * (2 * k - L)) * magic(nu, L - k, beta, eps)
-    return lhs == rhs
+    return magic(nu, k, beta, eps), q_pow(beta * (2 * k - L)) * magic(nu, L - k, beta, eps)
 
 
 def chu_vandermonde_special(nu: int, k: int, beta: int, eps: int) -> LaurentScalar:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -28,7 +27,7 @@ from .magic import (
     magic_genfun,
     magic_genfun_for3,
     magic_recursion_sides,
-    magic_symmetry_check,
+    magic_symmetry_sides,
     reformed_telescope_even_partial_sums,
     reformed_telescope_partial_sums,
     telescope_sides,
@@ -223,9 +222,9 @@ def _run_units(fn, units, jobs: int):
     """fn over units, in a pool of at most min(jobs, CPUs, units) workers."""
     workers = min(jobs, os.cpu_count() or 1, len(units))
     if workers <= 1:
-        for u in units:
-            yield fn(u)
-    else:
+        yield from map(fn, units)
+    else:  # imported here: multiprocessing costs every CLI start ~20 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, units, chunksize=max(1, len(units) // (4 * workers)))
 
@@ -340,16 +339,11 @@ def suite_magic_symmetry(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     rec = Recorder()
     for nu in range(1, max_nu + 1):
         for eps in (-1, 0, 1):
-            L = 2 * nu + eps
-            for k in range(1, L):
+            for k in range(1, 2 * nu + eps):
                 if genfun_window(nu, k, eps) is None:
                     continue
                 for beta in range(nu + 1):
-                    rec.ok(
-                        ("symmetry", nu, eps, k, beta),
-                        magic_symmetry_check(nu, beta, eps, k),
-                        f"magic({nu},{k},{beta},{eps}) vs q^(beta(2k-L)) magic({nu},{L - k},{beta},{eps})",
-                    )
+                    rec.eq(("symmetry", nu, eps, k, beta), *magic_symmetry_sides(nu, k, beta, eps))
     return rec.report("magic-symmetry", {"max_nu": max_nu})
 
 

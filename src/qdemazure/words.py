@@ -137,9 +137,18 @@ def base_case(i: int, k: int) -> LaurentScalar:
 
 def xi_recursive(a: int, b: int, i: int, k: int) -> LaurentScalar:
     """Evaluate the scalar by structural recursion, memoized on (a, b, i, k):
-    the fixed point of recursion_step."""
+    the fixed point of recursion_step.  A word too deep for the stack is
+    retried once the words it reads are cached, shortest first: (r, 0) for
+    r < a (r <= b when a = 0), then (a, c) for c < b."""
     check_quadruple(a, b, i, k)
-    return _xi_recursive(a, b, i, k)
+    try:
+        return _xi_recursive(a, b, i, k)
+    except RecursionError:
+        for a2, b2 in [(r, 0) for r in range(a or b + 1)] + [(a, c) for c in range(b) if a]:
+            for k2 in range(a2 + b2 + 2):
+                for i2 in (1, 2, 3):
+                    _xi_recursive(a2, b2, i2, k2)
+        return _xi_recursive(a, b, i, k)
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from qdemazure import laurent
 from qdemazure.laurent import (
-    _DENSE_MAX_SPREAD,
-    _DENSE_MIN_TERMS,
+    _PACK_MIN_TERMS,
     _packed_qbinom,
     _unpack,
     ONE,
@@ -75,8 +74,9 @@ def test_ring_axioms(f, g, h):
 #
 # Each strategy below builds operands that meet the preconditions of one path
 # of LaurentScalar.__mul__: a one-term operand (the shift), two operands with
-# at least _DENSE_MIN_TERMS terms packed on a common stride (the dense rows),
-# or operands too small or too spread out for a dense row (the double loop).
+# at least _PACK_MIN_TERMS terms whose exponents each lie in one class mod 6
+# (packed ints), or operands that are small, mix classes mod 6, or are sparser
+# than the packed path's slot budget allows (the double loop).
 
 
 def _ref_mul(f: dict, g: dict) -> dict:
@@ -112,31 +112,37 @@ monomials = st.builds(lambda e, c: LaurentScalar({e: c}), st.integers(-60, 60), 
 
 
 @st.composite
-def dense_scalars(draw, stride=None):
-    """At least _DENSE_MIN_TERMS terms on one stride, at most a third of the slots empty."""
-    g = draw(st.sampled_from((1, 2, 3, 6))) if stride is None else stride
-    width = draw(st.integers(3 * _DENSE_MIN_TERMS // 2, 2 * _DENSE_MIN_TERMS))
+def dense_scalars(draw, stride):
+    """At least _PACK_MIN_TERMS terms on one stride, at most a third of the
+    slots empty: packable on a multiple of 6, which keeps the exponents in one
+    class mod 6, and left to the double loop on strides 1, 2 and 3."""
+    width = draw(st.integers(3 * _PACK_MIN_TERMS // 2, 2 * _PACK_MIN_TERMS))
     offset = draw(st.integers(-40, 40))
     scale = draw(coefs)
     rnd = draw(st.randoms(use_true_random=False))
     holes = rnd.sample(range(1, width - 1), rnd.randint(0, width // 3))
-    return LaurentScalar({offset + g * t: rnd.choice((-5, -2, -1, 1, 3)) * scale
+    return LaurentScalar({offset + stride * t: rnd.choice((-5, -2, -1, 1, 3)) * scale
                           for t in range(width) if t not in holes})
 
 
 @st.composite
 def sparse_wide_scalars(draw):
-    """At least _DENSE_MIN_TERMS terms spread too thin for a dense row."""
-    n = draw(st.integers(_DENSE_MIN_TERMS, 2 * _DENSE_MIN_TERMS))
+    """At least _PACK_MIN_TERMS terms for the double loop: either on several
+    classes of exponents mod 6, or on one class but over 10,001 slots, more
+    than any product in these tests makes term products."""
+    n = draw(st.integers(_PACK_MIN_TERMS, 2 * _PACK_MIN_TERMS))
     scale = draw(coefs)
     rnd = draw(st.randoms(use_true_random=False))
-    exps = rnd.sample(range(-500, 500), n)
-    if max(exps) - min(exps) < _DENSE_MAX_SPREAD * n:
-        exps.append(min(exps) + 10 * _DENSE_MAX_SPREAD * n)
+    if draw(st.booleans()):
+        exps = [0, 1] + rnd.sample(range(2, 1000), n - 2)
+    else:
+        exps = [-30000, 30000] + rnd.sample(range(-29994, 30000, 6), n - 2)
     return LaurentScalar({e: scale * rnd.choice((-2, 1, 3)) for e in exps})
 
 
-any_scalars = scalars | monomials | dense_scalars() | sparse_wide_scalars() | st.just(ZERO)
+packable_scalars = st.sampled_from((6, 12)).flatmap(dense_scalars)
+loop_scalars = st.sampled_from((1, 2, 3)).flatmap(dense_scalars) | sparse_wide_scalars()
+any_scalars = scalars | monomials | packable_scalars | loop_scalars | st.just(ZERO)
 
 
 @given(monomials, any_scalars | st.integers(-9, 9))
@@ -163,16 +169,18 @@ def test_mul_by_int_and_by_zero(f, n):
 @given(data=st.data())
 @settings(max_examples=20)
 def test_mul_dense_rows_on_one_stride(stride, data):
+    """Dense operands on one stride: packed ints on stride 6, the double loop
+    on the strides that mix classes of exponents mod 6."""
     _assert_product(data.draw(dense_scalars(stride)), data.draw(dense_scalars(stride)))
 
 
-@given(dense_scalars(), dense_scalars())
+@given(packable_scalars | loop_scalars, packable_scalars | loop_scalars)
 @settings(max_examples=50)
 def test_mul_dense_rows_on_mixed_strides(f, g):
     _assert_product(f, g)
 
 
-@given(sparse_wide_scalars(), dense_scalars() | sparse_wide_scalars())
+@given(sparse_wide_scalars(), packable_scalars | loop_scalars)
 @settings(max_examples=30)
 def test_mul_sparse_fallback(f, g):
     _assert_product(f, g)
@@ -184,11 +192,11 @@ def test_mul_small_operands(f, g):
     _assert_product(f, g)
 
 
-@given(dense_scalars(), st.integers(1, 3 * _DENSE_MIN_TERMS), st.sampled_from((1, 2, 6)))
+@given(packable_scalars | loop_scalars, st.integers(1, 3 * _PACK_MIN_TERMS), st.sampled_from((1, 2, 6)))
 @settings(max_examples=30)
 def test_mul_dense_cancellation_stores_no_zero(c, n, g):
     """(1 + x + ... + x^(N-1)) * ((1 - x) c) = (1 - x^N) c with x = p^g: the slots between c and x^N c cancel."""
-    ones = LaurentScalar({g * t: 1 for t in range(n + _DENSE_MIN_TERMS)})
+    ones = LaurentScalar({g * t: 1 for t in range(n + _PACK_MIN_TERMS)})
     _assert_product(ones, (ONE - p_pow(g)) * c)
 
 
@@ -260,7 +268,11 @@ def test_mul_and_add_match_sympy():
         total = sum((ph * x ** (s - lo) for ph, s in polys), sympy.Poly(0, x))
         return {k + lo: int(c) for (k,), c in total.as_dict().items() if c}
 
-    @given(any_scalars, any_scalars, st.lists(any_scalars, max_size=4))
+    # sympy holds a polynomial densely, so the operands spread over 10,001
+    # slots would take minutes here; the references above cover them.
+    narrow = any_scalars.filter(lambda h: h.is_zero() or max(h.coefficients()) - min(h.coefficients()) < 2000)
+
+    @given(narrow, narrow, st.lists(narrow, max_size=4))
     @settings(max_examples=25, deadline=None)
     def check(f, g, items):
         (pf, sf), (pg, sg) = poly(f), poly(g)
@@ -412,6 +424,36 @@ def test_a_slot_below_the_bound_trips_the_q1_guard(monkeypatch):
     finally:
         qbinom.cache_clear()
     assert refused > 50
+
+
+def test_a_narrow_slot_trips_the_q1_guard_of_the_packed_product(monkeypatch):
+    """Products of packed q-binomials of either sign, whose coefficients then
+    share one sign, at one byte per slot fewer than the bound asks: each is
+    either still right or refused by the check at q = 1, never wrong."""
+    operands = [s * qbinom(n, j) for n in range(14, 34, 3) for j in range(4, n // 2 + 1, 3) for s in (1, -1)]
+    assert min(len(f.coefficients()) for f in operands) >= _PACK_MIN_TERMS
+    pairs = list(itertools.combinations_with_replacement(operands, 2))
+    want = [f * g for f, g in pairs]
+    real = laurent._slot_bytes
+    monkeypatch.setattr(laurent, "_slot_bytes", lambda bound: max(1, real(bound) - 1))
+    refused = 0
+    for (f, g), value in zip(pairs, want):
+        try:
+            assert f * g == value
+        except ArithmeticError as exc:
+            assert "a packed product is" in str(exc) and "at q = 1" in str(exc)
+            refused += 1
+    assert refused > 0
+
+
+def test_pack_matches_the_reference_encoder():
+    """laurent._pack agrees with _pack below on operands in one class mod 6,
+    and refuses mixed classes and operands wider than its slot budget."""
+    for f in (qbinom(20, 7) * p_pow(1), -rho(9) * p_pow(-4)):
+        want = _pack(f, 3)
+        assert laurent._pack(f.coefficients(), 3, want[2]) == want
+        assert laurent._pack(f.coefficients(), 3, want[2] - 1) is None
+        assert laurent._pack((f + p_pow(0)).coefficients(), 3, 10**6) is None
 
 
 def test_chu_vandermonde_convolution():

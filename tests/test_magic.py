@@ -15,7 +15,7 @@ from qdemazure.magic import (
     magic_genfun,
     magic_genfun_for3,
     magic_recursion_sides,
-    magic_symmetry_check,
+    magic_symmetry_sides,
     parity_interval,
     reformed_telescope_even_partial_sums,
     reformed_telescope_partial_sums,
@@ -208,12 +208,13 @@ def test_genseries_arithmetic():
 
 
 def test_magic_symmetry():
-    assert magic_symmetry_check(8, 3, 0, 5)
-    assert magic(8, 5, 3, 0) == q_pow(3 * (2 * 5 - 16)) * magic(8, 11, 3, 0)
+    lhs, rhs = magic_symmetry_sides(8, 5, 3, 0)
+    assert lhs == magic(8, 5, 3, 0)
+    assert rhs == lhs == q_pow(3 * (2 * 5 - 16)) * magic(8, 11, 3, 0)
     with pytest.raises(ValueError):
-        magic_symmetry_check(8, 3, 0, 8)  # the excluded middle k = nu
+        magic_symmetry_sides(8, 8, 3, 0)  # the excluded middle k = nu
     with pytest.raises(ValueError):
-        magic_symmetry_check(8, 3, 0, 16)  # k = L
+        magic_symmetry_sides(8, 16, 3, 0)  # k = L
 
 
 def test_chu_vandermonde_special():

@@ -68,6 +68,8 @@ def test_parallel_matches_serial():
 
 
 def test_pool_is_capped_by_cpus_and_units(monkeypatch):
+    import concurrent.futures
+
     import qdemazure.verify as vmod
 
     seen = []
@@ -85,13 +87,41 @@ def test_pool_is_capped_by_cpus_and_units(monkeypatch):
         def map(self, fn, units, chunksize=1):
             return map(fn, units)
 
-    monkeypatch.setattr(vmod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(vmod.os, "cpu_count", lambda: 4)
     report = run_suite("rou-xi", Bounds(max_m=2), jobs=1000)  # 6 units
     assert report.passed and report.params["jobs"] == 1000
     monkeypatch.setattr(vmod.os, "cpu_count", lambda: 64)
     run_suite("rou-xi", Bounds(max_m=2), jobs=1000)
     assert seen == [4, 6]
+
+
+def test_cli_start_does_not_load_the_process_pool():
+    """Only --jobs >= 2 needs multiprocessing, which costs every start ~20 ms."""
+    proc = _python("-c", "import sys, qdemazure.cli; print('multiprocessing' in sys.modules)",
+                   capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_magic_symmetry_counterexample_shows_both_sides(monkeypatch):
+    import qdemazure.magic as mmod
+
+    real = mmod.magic
+    wrong = (3, 1, 1, 0)
+
+    def off_at_one_point(nu, k, beta, eps):
+        value = real(nu, k, beta, eps)
+        return value + 1 if (nu, k, beta, eps) == wrong else value
+
+    monkeypatch.setattr(mmod, "magic", off_at_one_point)
+    report = run_suite("magic-symmetry", Bounds(max_nu=4))
+    assert report.checks == SMALL_BOUNDS_CHECKS["magic-symmetry"]
+    bad, mirror = real(3, 1, 1, 0) + 1, real(3, 5, 1, 0)
+    assert [(c.inputs, c.lhs, c.rhs) for c in report.counterexamples] == [
+        (("symmetry", 3, 0, 1, 1), bad.render(), (q_pow(-4) * mirror).render()),
+        (("symmetry", 3, 0, 5, 1), mirror.render(), (q_pow(4) * bad).render()),
+    ]
 
 
 def test_reformed_failure_is_reported_under_optimize():

@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 
 from qdemazure.closed_formula import xi_formula
 from qdemazure.laurent import ONE, ZERO, z_pow
-from qdemazure.words import base_case, build_word, dual_rows, xi_forward, xi_oracle, xi_recursive
+from qdemazure.words import _xi_recursive, base_case, build_word, dual_rows, xi_forward, xi_oracle, xi_recursive
 
 
 def all_abi(max_len):
@@ -165,3 +167,20 @@ def test_values_live_in_z_ring():
         ell = a + b + 1
         for k in range(ell + 1):
             assert xi_oracle(a, b, i, k).is_z_element()
+
+
+def test_xi_recursive_survives_a_shallow_stack():
+    """A word deeper than the stack allows is still evaluated, not refused
+    with RecursionError."""
+    want = xi_formula(1, 25, 2, 3)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(depth + 200)
+        _xi_recursive.cache_clear()
+        assert xi_recursive(1, 25, 2, 3) == want
+    finally:
+        sys.setrecursionlimit(limit)
+        _xi_recursive.cache_clear()
