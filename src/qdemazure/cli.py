@@ -1,7 +1,8 @@
 """Command-line surface: evaluate scalars, print words, and run verify suites.
 
 Exit codes: 0 on success, 1 when a verify suite finds a counterexample, 2 on
-usage errors (including a verify run in which some suite checked nothing),
+usage errors (including a verify run in which some suite checked nothing, and
+a --out path that cannot be opened for writing, found before any suite runs),
 3 on an unexpected internal error (a ValueError inside a suite included).
 When stdout is closed early, as by `| head`, the run ends quietly with 141,
 the code of a SIGPIPE death.
@@ -10,9 +11,11 @@ the code of a SIGPIPE death.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import closed_formula as cf
 from .magic import magic
@@ -79,23 +82,29 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     bounds = Bounds(max_len=args.max_len, max_nu=args.max_nu, max_m=args.max_m)
-    reports = [run_suite(name, bounds, jobs=args.jobs) for name in names]
-    vacuous = [r.suite for r in reports if r.checks == 0]
-    if vacuous:
-        raise UsageError(f"the bounds leave nothing to check in {', '.join(vacuous)}")
-    payload = [r.to_dict() for r in reports]
-    if args.format == "json":
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True))
-    else:
-        for r in reports:
-            print(r.render_text())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    try:  # a bad --out path must fail before any sweep runs
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise UsageError(f"cannot write the report to {args.out}: {exc.strerror}") from None
+    with out:
+        reports = [run_suite(name, bounds, jobs=args.jobs) for name in names]
+        vacuous = [r.suite for r in reports if r.checks == 0]
+        if vacuous:
+            raise UsageError(f"the bounds leave nothing to check in {', '.join(vacuous)}")
+        payload = [r.to_dict() for r in reports]
+        if args.format == "json":
+            print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True))
+        else:
+            for r in reports:
+                print(r.render_text())
+        if args.out:
+            json.dump(payload, out, indent=2, sort_keys=True)
     return 0 if all(r.passed for r in reports) else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once on first use: a point query costs less than building it."""
     parser = argparse.ArgumentParser(
         prog="qdemazure",
         description="Exact divided-difference scalars for the deformed affine type-A2 action.",

@@ -10,7 +10,8 @@ one of -1, 0, 1.  No closed form is known, but the generating function over
 beta factors as a product of (1 + q^lambda * x) with lambda running over a
 union of two parity intervals, and that factorization drives everything else
 here: the k <-> L-k symmetry, the Chu-Vandermonde special cases, a recursion
-in nu, and four telescoping-sum identities.
+in nu, and four telescoping-sum identities.  The generating functions and the
+reformed telescope partial sums are polyring.TriPoly polynomials in x = x1.
 
 `magic` is one `qbinom_product_sum` (Kronecker substitution, see laurent);
 `term` keeps one summand as a product of scalars, the definition the packed
@@ -22,6 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .laurent import LaurentScalar, ONE, ZERO, binom2, lsum, q_pow, qbinom, qbinom_product_sum, qnum, sign
+from .polyring import TriPoly
 
 
 def _check_eps(eps: int) -> int:
@@ -116,89 +118,39 @@ def xprime_difference(nu: int, k: int, eps: int) -> tuple[range, range]:
     )
 
 
-class GenSeries:
-    """A polynomial in a formal variable x, truncated above a fixed bound.
-
-    Coefficients are LaurentScalars; coefficient beta of a product built from
-    linear factors (c0 + c1*x) is exact for all beta up to the bound.
-    """
-
-    __slots__ = ("bound", "coeffs")
-
-    def __init__(self, bound: int, coeffs: tuple[LaurentScalar, ...]) -> None:
-        if bound < 0 or len(coeffs) != bound + 1:
-            raise ValueError("need exactly bound+1 coefficients")
-        self.bound = bound
-        self.coeffs = coeffs
-
-    @classmethod
-    def constant(cls, bound: int, value: LaurentScalar | int = 1) -> GenSeries:
-        v = value if isinstance(value, LaurentScalar) else LaurentScalar.from_int(value)
-        return cls(bound, (v,) + (ZERO,) * bound)
-
-    def coefficient(self, beta: int) -> LaurentScalar:
-        if not 0 <= beta <= self.bound:
-            raise ValueError(f"beta={beta} outside 0..{self.bound}")
-        return self.coeffs[beta]
-
-    def times_linear(self, c0: LaurentScalar, c1: LaurentScalar) -> GenSeries:
-        """Multiply by (c0 + c1*x), truncating above the bound."""
-        prev = self.coeffs
-        out = [c0 * prev[0]]
-        for b in range(1, self.bound + 1):
-            out.append(c0 * prev[b] + c1 * prev[b - 1])
-        return GenSeries(self.bound, tuple(out))
-
-    def __add__(self, other: GenSeries) -> GenSeries:
-        if not isinstance(other, GenSeries) or other.bound != self.bound:
-            return NotImplemented
-        return GenSeries(self.bound, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: object) -> GenSeries:
-        """Multiply every coefficient by a scalar."""
-        if not isinstance(other, (LaurentScalar, int)):
-            return NotImplemented
-        return GenSeries(self.bound, tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GenSeries):
-            return NotImplemented
-        return self.bound == other.bound and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        body = ", ".join(c.render() for c in self.coeffs)
-        return f"GenSeries(bound={self.bound}, [{body}])"
+def _linear(c0: LaurentScalar, c1: LaurentScalar) -> TriPoly:
+    """The linear factor c0 + c1*x, with x = x1."""
+    return TriPoly({(0, 0, 0): c0, (1, 0, 0): c1})
 
 
-def _genfun(nu: int, k: int, eps: int, bound: int, shift: int) -> GenSeries:
+def _genfun(nu: int, k: int, eps: int, shift: int) -> TriPoly:
     window = genfun_window(nu, k, eps)
     if window is None:
         raise ValueError(f"k={k + shift} is outside both generating-function windows")
-    out = GenSeries.constant(bound)
+    out = TriPoly.one()
     for iv in window(nu, k, eps):
         for lam in iv:
-            out = out.times_linear(ONE, q_pow(lam + shift))
+            out = out * _linear(ONE, q_pow(lam + shift))
     return out
 
 
-def magic_genfun(nu: int, k: int, eps: int, bound: int) -> GenSeries:
-    """The series whose x^beta coefficient is magic(nu, k, beta, eps).
+def magic_genfun(nu: int, k: int, eps: int) -> TriPoly:
+    """The polynomial in x = x1 whose x^beta coefficient is magic(nu, k, beta, eps).
 
+    It is a product of nu-2 linear factors, so it has degree nu-2 in x.
     Valid on the two k-windows of genfun_window; the gap nu <= k <= nu+eps
     between them is rejected.
     """
-    return _genfun(nu, k, eps, bound, 0)
+    return _genfun(nu, k, eps, 0)
 
 
-def magic_genfun_for3(nu: int, k: int, eps: int, bound: int) -> GenSeries:
-    """The series whose x^beta coefficient is q^beta * magic(nu, k-1, beta, eps).
+def magic_genfun_for3(nu: int, k: int, eps: int) -> TriPoly:
+    """The polynomial in x = x1 whose x^beta coefficient is q^beta * magic(nu, k-1, beta, eps).
 
     It is magic_genfun at k-1 with every exponent lambda shifted up by one,
     which multiplies the x^beta coefficient by q^beta.
     """
-    return _genfun(nu, k - 1, eps, bound, 1)
+    return _genfun(nu, k - 1, eps, 1)
 
 
 # -- identities ---------------------------------------------------------------
@@ -318,40 +270,38 @@ def telescope_sides(variant: str, nu: int, k: int, beta: int) -> tuple[LaurentSc
     return lhs, rhs
 
 
-def _reformed_partial_sums(B: int, shift: int, summand, closed_form) -> list[GenSeries]:
+def _reformed_partial_sums(B: int, shift: int, summand, closed_form) -> list[TriPoly]:
     """The loop behind the two reformed partial-sum functions, whose docstrings
     give the summand, closed form and step ratio for shift 1 and 2.  A closed
     form or ratio that fails raises ArithmeticError, which survives -O."""
     if B < 0:
         raise ValueError("B must be nonnegative")
-    bound = B + 1
-    sums: list[GenSeries] = []
-    acc = GenSeries.constant(bound, 0)
+    sums: list[TriPoly] = []
+    acc = TriPoly.zero()
     for a in range(B + 1):
-        f = GenSeries.constant(bound, sign(a) * summand(a))
+        f = TriPoly.monomial((0, 0, 0), sign(a) * summand(a))
         for i in range(1, a + 1):
-            f = f.times_linear(ONE, q_pow(-shift - 2 * i))
+            f = f * _linear(ONE, q_pow(-shift - 2 * i))
         for i in range(a, B):
-            f = f.times_linear(ONE, q_pow(shift + 2 * i))
+            f = f * _linear(ONE, q_pow(shift + 2 * i))
         acc = acc + f
-        closed = GenSeries.constant(bound, sign(a) * q_pow(-2 * a) * closed_form(a))
+        closed = TriPoly.monomial((0, 0, 0), sign(a) * q_pow(-2 * a) * closed_form(a))
         for i in range(2, a + 2):
-            closed = closed.times_linear(q_pow(shift + 2 * i), ONE)
+            closed = closed * _linear(q_pow(shift + 2 * i), ONE)
         for i in range(a, B):
-            closed = closed.times_linear(ONE, q_pow(shift + 2 * i))
+            closed = closed * _linear(ONE, q_pow(shift + 2 * i))
         if acc != closed:
             raise ArithmeticError(f"partial-sum closed form fails at a={a}, B={B}")
         if a >= 1:
-            lhs = (acc * qnum(a)).times_linear(ONE, q_pow(2 * a - 2 + shift))
-            rhs = sums[-1] * (-q_pow(-2) * qnum(a + shift))
-            rhs = rhs.times_linear(q_pow(2 * a + 2 + shift), ONE)
+            lhs = acc * qnum(a) * _linear(ONE, q_pow(2 * a - 2 + shift))
+            rhs = sums[-1] * (-q_pow(-2) * qnum(a + shift)) * _linear(q_pow(2 * a + 2 + shift), ONE)
             if lhs != rhs:
                 raise ArithmeticError(f"partial-sum ratio fails at a={a}, B={B}")
         sums.append(acc)
     return sums
 
 
-def reformed_telescope_partial_sums(B: int) -> list[GenSeries]:
+def reformed_telescope_partial_sums(B: int) -> list[TriPoly]:
     """Partial sums PS(0..B) of the single-weight telescoping identity.
 
     The a-th summand is
@@ -374,7 +324,7 @@ def reformed_telescope_partial_sums(B: int) -> list[GenSeries]:
     )
 
 
-def reformed_telescope_even_partial_sums(B: int) -> list[GenSeries]:
+def reformed_telescope_even_partial_sums(B: int) -> list[TriPoly]:
     """Partial sums of the double-weight variant, with summand
 
         (-1)^a [a+1][2a+2] q^(2*binom(a+1,2)+a)

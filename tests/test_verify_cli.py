@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qdemazure
-from qdemazure.cli import main
+from qdemazure.cli import build_parser, main
 from qdemazure.laurent import ExactDivisionError, q_pow, z_pow
 from qdemazure.report import Counterexample, VerifyReport
 from qdemazure.verify import Bounds, SUITES, run_suite
@@ -411,7 +411,11 @@ def test_cli_word(capsys):
 
 
 def test_cli_magic_golden(capsys):
-    assert main(["magic", "--nu", "8", "--k", "4", "--beta", "3", "--eps", "0"]) == 0
+    """JSON first, then the default text: the one parser keeps no option between calls."""
+    argv = ["magic", "--nu", "8", "--k", "4", "--beta", "3", "--eps", "0"]
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "magic"
+    assert main(argv) == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("1 + p^36") and out.endswith("p^144")
 
@@ -496,7 +500,7 @@ def test_sweeps_never_import_numpy():
     """The ring stays pure Python: numpy alone would double a sweep's peak memory."""
     script = textwrap.dedent("""
         import sys
-        from qdemazure.cli import main
+        from qdemazure.cli import build_parser, main
         codes = [main(["verify", "magic-recursion", "--max-nu", "6"]),
                  main(["verify", "recursions", "--max-len", "8"])]
         print(codes, "numpy" in sys.modules, file=sys.stderr)
@@ -514,6 +518,21 @@ def test_cli_verify_pass_and_report_file(tmp_path, capsys):
     assert payload["suite"] == "calibration" and payload["passed"]
     saved = json.loads(out.read_text())
     assert saved[0]["suite"] == "calibration"
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_cli_verify_bad_out_path_is_usage_error(tmp_path, capsys, where):
+    path = tmp_path / where
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "magic-golden", "--out", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"cannot write the report to {path}" in captured.err
+
+
+def test_cli_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
