@@ -69,21 +69,19 @@ class LaurentScalar:
     LaurentScalar('1')
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int]) -> None:
         for e, c in coeffs.items():
             if type(e) is not int or type(c) is not int:
                 raise TypeError(f"exponent {e!r} and coefficient {c!r} must both be int")
         self._coeffs = {e: c for e, c in coeffs.items() if c != 0}
-        self._hash: int | None = None
 
     @classmethod
     def _wrap(cls, coeffs: dict[int, int]) -> LaurentScalar:
         """Take ownership of a dict already free of zero coefficients, without copying it."""
         out = object.__new__(cls)
         out._coeffs = coeffs
-        out._hash = None
         return out
 
     @classmethod
@@ -198,10 +196,8 @@ class LaurentScalar:
         return self._coeffs == o._coeffs
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            c = self._coeffs  # a constant hashes like the int it equals
-            self._hash = hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
-        return self._hash
+        c = self._coeffs  # a constant hashes like the int it equals
+        return hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
 
     # -- rendering ----------------------------------------------------------
 

@@ -188,13 +188,11 @@ def s_action(i: int, f: TriPoly) -> TriPoly:
     pos_i = i - 1
     pos_n = normalize_index(i + 1) - 1
     out: dict[Exponents, LaurentScalar] = {}
-    for exps, coeff in f.terms().items():
+    for exps, coeff in f.terms().items():  # a bijection on monomials: no two terms meet
         ei, en = exps[pos_i], exps[pos_n]
         new = list(exps)
         new[pos_i], new[pos_n] = en, ei
-        key = tuple(new)
-        term = coeff * z_pow(ei - en)
-        out[key] = out.get(key, ZERO) + term
+        out[tuple(new)] = coeff * z_pow(ei - en)
     return TriPoly(out)
 
 
@@ -233,11 +231,16 @@ def demazure_terms(i: int, exps: Exponents):
 
 def demazure(i: int, f: TriPoly) -> TriPoly:
     """The divided-difference operator (f - s_i(f)) / (x_i - z*x_{i+1}),
-    evaluated term by term through demazure_terms."""
+    evaluated term by term through demazure_terms: each series term adds into
+    one p-exponent -> int dict per output monomial, and each dict becomes a
+    coefficient once."""
     check_index(i)
-    out: dict[Exponents, LaurentScalar] = {}
+    out: dict[Exponents, dict[int, int]] = {}
     for exps, coeff in f.terms().items():
+        coeffs = coeff.coefficients()
         for key, sgn, shift in demazure_terms(i, exps):
-            term = coeff * z_pow(shift)
-            out[key] = out.get(key, ZERO) + (term if sgn > 0 else -term)
-    return TriPoly(out)
+            acc = out.setdefault(key, {})
+            for e, c in coeffs.items():
+                e += 2 * shift  # z = p^2
+                acc[e] = acc.get(e, 0) + sgn * c
+    return TriPoly({key: LaurentScalar(acc) for key, acc in out.items()})

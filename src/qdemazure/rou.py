@@ -11,7 +11,8 @@ at the root.
 Every value is computed in Z[p^(+-1)] and sent to the root once: specialize
 folds the exponents mod 6m and CycElem reduces the result mod Phi_(6m).  The
 residue in Z[x]/Phi_(6m)(x) does not depend on which primitive root is chosen,
-so every identity checked here is Galois-stable.
+so every identity that the rou-xi and rou-lemmas sweeps of verify check on
+these residues is Galois-stable.  This module only computes values.
 """
 
 from __future__ import annotations
@@ -19,14 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .closed_formula import factors_standard, xi_formula
-from .laurent import (
-    LaurentScalar, ONE, ZERO, binom2, exact_div, p_pow, q_pow, qbinom, qnum, rho, rho_prime, sign,
-    z_pow,
-)
-from .magic import magic
+from .closed_formula import xi_formula
+from .laurent import LaurentScalar, binom2, exact_div, p_pow, q_pow, qbinom, sign, z_pow
 from .polyring import check_index
-from .report import Recorder, VerifyReport
 from .words import xi_oracle
 
 
@@ -208,96 +204,6 @@ def xi_rou_corollary(m: int, a: int, i: int) -> CycElem:
         sign(d + beta + 1) * (m * m) * qbinom(m - 1 - p.bottom, beta - p.bottom) * p_pow(blah_exp)
     )
     return specialize(value, m)
-
-
-def rou_lemma_suite(m: int) -> VerifyReport:
-    """Check every quantum-number, rho, magic and factor identity that holds
-    after sending q to a primitive 2m-th root of unity (p to a 6m-th root).
-
-    Returns a report with one counterexample entry per failed identity.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    rec = Recorder()
-    d = m // 2
-
-    def eq(label: tuple, lhs: LaurentScalar, rhs: LaurentScalar) -> None:
-        rec.eq(label, specialize(lhs, m), specialize(rhs, m))
-
-    # quantum numbers: [m] = 0, [m-1] = 1, mirror and both periods
-    eq(("qnum-m", m), qnum(m), ZERO)
-    eq(("qnum-m-1", m), qnum(m - 1), ONE)
-    for k in range(-2 * m, 2 * m + 1):
-        eq(("mirror", m, k), qnum(m - k), qnum(k))
-        eq(("period", m, k), qnum(k + m), -qnum(k))
-        eq(("period2", m, k), qnum(k + 2 * m), qnum(k))
-    # alternating binomial column; the boundary j = m fails (its defining
-    # product degenerates to [m]/[m] there), so the sweep stops at m-1
-    for j in range(0, m):
-        eq(("binom-2m-1", m, j), qbinom(2 * m - 1, j), sign(j))
-
-    if m % 2 == 0:
-        eq(("rho-trig-even", m), rho(m - 1), m * q_pow(d * (m - 1)))
-        eq(("rho-squared", m), rho(m - 1) * rho(m - 1), LaurentScalar.from_int(-m * m))
-        eq(("rho-split-even", m), rho(m - 1), rho(d) * rho(d - 1))
-        eq(("rho-step-even", m), rho(d), 2 * q_pow(d) * rho(d - 1))
-    else:
-        eq(("rho-trig-odd", m), rho(m - 1), LaurentScalar.from_int((-1) ** d * m))
-        eq(("rho-split-odd", m), rho(m - 1), rho(d) * rho(d))
-    eq(("rho-prime-m-1", m), rho_prime(m - 1), LaurentScalar.from_int(m))
-
-    # rho(alpha) rho(beta) against the single binomial, over the whole sweep
-    for a in range(1, 3 * m - 1):
-        p = RouParams.from_ma(m, a)
-        lhs = rho(p.alpha) * rho(p.beta)
-        rhs = rho(p.bottom) * rho(m - 1) * qbinom(m - 1 - p.bottom, p.alpha - p.bottom)
-        eq(("rho-product", m, a), lhs, rhs)
-
-    # magic at the root, per parity of m
-    one_minus_q2 = ONE - q_pow(2)
-    if m % 2 == 0:
-        for beta in range(d - 1, m):
-            eq(("magic-even-0", m, beta), magic(3 * d, 4 * d, beta, 0),
-               sign(beta + d - 1) * q_pow(binom2(d)) * rho(d - 1))
-            eq(("magic-even-1", m, beta), magic(3 * d, 4 * d, beta, -1) * one_minus_q2,
-               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
-            eq(("magic-even-3", m, beta),
-               q_pow(beta) * magic(3 * d, 4 * d - 1, beta, -1) * one_minus_q2,
-               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
-    else:
-        for beta in range(d, m):
-            eq(("magic-odd-odd", m, beta), magic(3 * d + 2, 4 * d + 2, beta, -1),
-               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
-        for beta in range(d - 1, m):
-            eq(("magic-even-even-1", m, beta), magic(3 * d + 1, 4 * d + 2, beta, 1),
-               sign(beta + d - 1) * q_pow(binom2(d)) * rho(d - 1))
-            eq(("magic-even-even-2", m, beta),
-               magic(3 * d + 1, 4 * d + 2, beta, 0) * one_minus_q2,
-               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
-            eq(("magic-even-even-3", m, beta),
-               q_pow(beta) * magic(3 * d + 1, 4 * d + 1, beta, 0) * one_minus_q2,
-               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
-
-    # the assembled gamma block and the easy remaining factors, at k = 2m
-    k = 2 * m
-    ell = 3 * m
-    for a in range(max(1, m - 1), min(2 * m, 3 * m - 2) + 1):
-        p = RouParams.from_ma(m, a)
-        cexp = binom2(d) if (a % 2 == 0 and p.b % 2 == 0) else binom2(d + 1)
-        expected = (
-            sign(d + p.b + 1)
-            * (m * m)
-            * qbinom(m - 1 - p.bottom, p.alpha - p.bottom)
-            * q_pow(cexp - binom2(p.alpha + 1) - binom2(p.beta + 1))
-        )
-        for i in (1, 2, 3):
-            fac = factors_standard(a, p.b, i, k)
-            eq(("gamma-block", m, a, i), fac.mu * fac.gamma1 * fac.gamma2 * fac.gamma3, expected)
-            eq(("kappa1", m, a, i), fac.kappa1, p_pow(4 * m))
-            eq(("kappa2", m, a, i), fac.kappa2, ONE)
-            eq(("lambda5", m, a, i), fac.lambda5, ONE)
-
-    return rec.report("rou-lemmas", {"m": m})
 
 
 def xi_rou_specialized(m: int, a: int, i: int, method: str = "formula") -> CycElem:

@@ -2,10 +2,10 @@
 Identity sweeps: every algebraic fact the package relies on, run exhaustively
 over a bounded parameter window and reported with counterexamples.
 
-Each suite is a function taking the shared Bounds plus a worker count and
-returning a VerifyReport.  Reports are deterministic for fixed bounds:
-counterexamples are sorted and the only nondeterministic field is the
-timestamp added at serialization time.
+Each suite is a function taking the shared Bounds plus a worker count; it
+records every check into the VerifyReport it returns.  Reports are
+deterministic for fixed bounds: run_suite sorts the counterexamples, and the
+only nondeterministic field is the timestamp added at serialization time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,10 @@ from math import comb
 
 from . import closed_formula as cf
 from . import rou
-from .laurent import ONE, ZERO, LaurentScalar, exact_div, lsum, q_pow, qbinom, sign, z_pow
+from .laurent import (
+    ONE, ZERO, LaurentScalar, binom2, exact_div, lsum, p_pow, q_pow, qbinom, qnum, rho, rho_prime,
+    sign, z_pow,
+)
 from .magic import (
     TELESCOPE_WINDOWS,
     chu_vandermonde_special,
@@ -35,7 +38,7 @@ from .magic import (
     xprime_difference,
 )
 from .polyring import TriPoly, demazure, normalize_index, s_action, sigma, tau, x_var
-from .report import Recorder, VerifyReport
+from .report import VerifyReport
 from .words import dual_rows, recursion_step, xi_forward, xi_oracle, xi_recursive
 
 
@@ -80,8 +83,8 @@ def _formula_layer(ell: int) -> dict[tuple[int, int, int, int], LaurentScalar]:
 def suite_relations(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     """Quadratic, braid, twisted Leibniz, antiinvariance and the sigma/tau
     intertwiners, exhaustively over monomials of degree at most 6."""
-    rec = Recorder()
     max_deg = 6
+    rec = VerifyReport("relations", {"max_deg": max_deg})
     monos = _monomials(max_deg)
     z1 = z_pow(1)
     for f in monos:
@@ -109,7 +112,7 @@ def suite_relations(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                 demazure(i, f * g),
                 demazure(i, f) * g + s_action(i, f) * demazure(i, g),
             )
-    return rec.report("relations", {"max_deg": max_deg})
+    return rec
 
 
 def _mono_key(f: TriPoly) -> tuple:
@@ -121,7 +124,7 @@ def _mono_key(f: TriPoly) -> tuple:
 
 def suite_symmetries(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_len = bounds.len_(12)
-    rec = Recorder()
+    rec = VerifyReport("symmetries", {"max_len": max_len})
     for ell in range(1, max_len + 1):
         xi = _formula_layer(ell)
         for a in range(ell):
@@ -150,7 +153,7 @@ def suite_symmetries(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                     xi[c, 0, i, k].bar(),
                     sgn * z_pow(ell) * xi[0, c, normalize_index(-i - 1), ell - k],
                 )
-    return rec.report("symmetries", {"max_len": max_len})
+    return rec
 
 
 # -- suite: recursion formulas --------------------------------------------------
@@ -162,7 +165,7 @@ def suite_recursions(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     xi_recursive runs, asked of xi_formula.  A step at length l reads values of
     lengths l and l-1 only, so the sweep keeps two layers of values."""
     max_len = bounds.len_(12)
-    rec = Recorder()
+    rec = VerifyReport("recursions", {"max_len": max_len})
     values: dict = {}
 
     def xi(a: int, b: int, i: int, k: int) -> LaurentScalar:
@@ -186,16 +189,16 @@ def suite_recursions(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                 step(("i1-sum" + tag, *key, k), a, b, 1, k)
             step(("i2-special" + tag, *key), a, b, 2, ell - 1)
         values = layer  # let length ell-1 go before building ell+1
-    return rec.report("recursions", {"max_len": max_len})
+    return rec
 
 
 # -- suite: formula vs oracle vs recursion ---------------------------------------
 
 
-def _triple_equal_unit(args: tuple[int, int, int]) -> Recorder:
+def _triple_equal_unit(args: tuple[int, int, int]) -> VerifyReport:
     """The three checks at every word of the (a, j) chain up to length max_len."""
     a, j, max_len = args
-    rec = Recorder()
+    rec = VerifyReport("formula-vs-oracle", {"a": a, "j": j, "max_len": max_len})
     for b, i, row in dual_rows(a, j, range(a + 1, max_len + 1)):
         ell = a + b + 1
         for k, oracle in enumerate(row):
@@ -211,11 +214,11 @@ def suite_formula_vs_oracle(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     oracle on every quadruple up to the length bound, plus agreement of the
     oracle with xi_forward, which keeps x1*x2*x3 multiples, for lengths up to 8."""
     max_len = bounds.len_(12)
-    rec = Recorder()
+    rec = VerifyReport("formula-vs-oracle", {"max_len": max_len, "jobs": jobs})
     units = [(a, j, max_len) for a in range(max_len) for j in (1, 2, 3)]
     for unit in _run_units(_triple_equal_unit, units, jobs):
         rec.merge(unit)
-    return rec.report("formula-vs-oracle", {"max_len": max_len, "jobs": jobs})
+    return rec
 
 
 def _run_units(fn, units, jobs: int):
@@ -247,7 +250,7 @@ MAGIC_GOLDEN_833 = _from_q_terms(
 
 
 def suite_magic_golden(bounds: Bounds, jobs: int = 1) -> VerifyReport:
-    rec = Recorder()
+    rec = VerifyReport("magic-golden", {})
     got843 = magic(8, 4, 3, 0)
     got833 = magic(8, 3, 3, 0)
     rec.eq(("magic", 8, 4, 3, 0), got843, MAGIC_GOLDEN_843)
@@ -255,14 +258,14 @@ def suite_magic_golden(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     rec.eq(("magic-render", 8, 4, 3, 0), got843.render(), MAGIC_GOLDEN_843.render())
     rec.eq(("magic-render", 8, 3, 3, 0), got833.render(), MAGIC_GOLDEN_833.render())
     rec.eq(("magic-at-one", 8, 4, 3, 0), got843.at_one(), comb(6, 3))
-    return rec.report("magic-golden", {})
+    return rec
 
 
 def suite_calibration(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     """Derive the six length-one values straight from the operator definition
     and show that the two -z^{-1} entries are the only ones compatible with
     the k <-> l-k symmetries."""
-    rec = Recorder()
+    rec = VerifyReport("calibration", {})
     x = {j: x_var(j) for j in (1, 2, 3)}
     minus_zinv = -z_pow(-1)
     expected = {
@@ -294,7 +297,7 @@ def suite_calibration(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                 want = want + TriPoly.monomial((c, ell - 1 - c, 0), z_pow(k - 1 - c))
             rec.eq(("staircase-expansion", ell, k),
                    demazure(1, TriPoly.monomial((k, ell - k, 0))), want)
-    return rec.report("calibration", {})
+    return rec
 
 
 # -- suites: magic ----------------------------------------------------------------
@@ -302,7 +305,7 @@ def suite_calibration(bounds: Bounds, jobs: int = 1) -> VerifyReport:
 
 def suite_magic_genfun(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_nu = bounds.nu(10)
-    rec = Recorder()
+    rec = VerifyReport("magic-genfun", {"max_nu": max_nu})
     for nu in range(2, max_nu + 1):
         for eps in (-1, 0, 1):
             for k in range(1, 2 * nu + eps):
@@ -331,12 +334,12 @@ def suite_magic_genfun(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                     rec.eq(("coeff", nu, k, eps, beta), series.get((beta, 0, 0), ZERO), value)
                     rec.eq(("coeff-for3", nu, k + 1, eps, beta),
                            for3.get((beta, 0, 0), ZERO), q_pow(beta) * value)
-    return rec.report("magic-genfun", {"max_nu": max_nu})
+    return rec
 
 
 def suite_magic_symmetry(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_nu = bounds.nu(10)
-    rec = Recorder()
+    rec = VerifyReport("magic-symmetry", {"max_nu": max_nu})
     for nu in range(1, max_nu + 1):
         for eps in (-1, 0, 1):
             for k in range(1, 2 * nu + eps):
@@ -344,14 +347,14 @@ def suite_magic_symmetry(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                     continue
                 for beta in range(nu + 1):
                     rec.eq(("symmetry", nu, eps, k, beta), *magic_symmetry_sides(nu, k, beta, eps))
-    return rec.report("magic-symmetry", {"max_nu": max_nu})
+    return rec
 
 
 def suite_chu_vandermonde(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     """The special closed values of magic, plus the underlying double-binomial
     convolution identity itself."""
     max_nu = bounds.nu(8)
-    rec = Recorder()
+    rec = VerifyReport("chu-vandermonde", {"max_nu": max_nu})
     for nu in range(1, max_nu + 1):
         for eps in (-1, 0, 1):
             for k in (2 * nu - 1 + eps, nu + 1 + eps):
@@ -369,24 +372,24 @@ def suite_chu_vandermonde(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                 total = lsum(qbinom(M, beta - j) * qbinom(N, j) * q_pow(j * (M + N))
                              for j in range(beta + 1))
                 rec.eq(("convolution", M, N, beta), total, q_pow(N * beta) * qbinom(M + N, beta))
-    return rec.report("chu-vandermonde", {"max_nu": max_nu})
+    return rec
 
 
 def suite_magic_recursion(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_nu = bounds.nu(8)
-    rec = Recorder()
+    rec = VerifyReport("magic-recursion", {"max_nu": max_nu})
     for nu in range(2, max_nu + 1):
         for eps in (-1, 0):
             for k in range(1, 2 * nu + 2):
                 for beta in range(nu + 2):
                     lhs, rhs = magic_recursion_sides(nu, k, beta, eps)
                     rec.eq(("recursion", nu, k, beta, eps), lhs, rhs)
-    return rec.report("magic-recursion", {"max_nu": max_nu})
+    return rec
 
 
 def suite_telescope(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_nu = bounds.nu(8)
-    rec = Recorder()
+    rec = VerifyReport("telescope", {"max_nu": max_nu})
     for variant in TELESCOPE_WINDOWS:
         for nu in range(2, max_nu + 1):
             for k in telescope_window(variant, nu):
@@ -401,23 +404,103 @@ def suite_telescope(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                 rec.ok((label, B), True)
             except ArithmeticError as exc:
                 rec.ok((label, B), False, str(exc))
-    return rec.report("telescope", {"max_nu": max_nu})
+    return rec
 
 
 # -- suites: roots of unity ---------------------------------------------------------
 
 
+def _rou_lemmas(rec: VerifyReport, m: int) -> None:
+    """Every quantum-number, rho, magic and factor identity that holds after
+    sending q to a primitive 2m-th root of unity (p to a 6m-th root)."""
+    d = m // 2
+
+    def eq(label: tuple, lhs: LaurentScalar, rhs: LaurentScalar) -> None:
+        rec.eq(label, rou.specialize(lhs, m), rou.specialize(rhs, m))
+
+    # quantum numbers: [m] = 0, [m-1] = 1, mirror and both periods
+    eq(("qnum-m", m), qnum(m), ZERO)
+    eq(("qnum-m-1", m), qnum(m - 1), ONE)
+    for k in range(-2 * m, 2 * m + 1):
+        eq(("mirror", m, k), qnum(m - k), qnum(k))
+        eq(("period", m, k), qnum(k + m), -qnum(k))
+        eq(("period2", m, k), qnum(k + 2 * m), qnum(k))
+    # alternating binomial column; the boundary j = m fails (its defining
+    # product degenerates to [m]/[m] there), so the sweep stops at m-1
+    for j in range(0, m):
+        eq(("binom-2m-1", m, j), qbinom(2 * m - 1, j), sign(j))
+
+    if m % 2 == 0:
+        eq(("rho-trig-even", m), rho(m - 1), m * q_pow(d * (m - 1)))
+        eq(("rho-squared", m), rho(m - 1) * rho(m - 1), LaurentScalar.from_int(-m * m))
+        eq(("rho-split-even", m), rho(m - 1), rho(d) * rho(d - 1))
+        eq(("rho-step-even", m), rho(d), 2 * q_pow(d) * rho(d - 1))
+    else:
+        eq(("rho-trig-odd", m), rho(m - 1), LaurentScalar.from_int((-1) ** d * m))
+        eq(("rho-split-odd", m), rho(m - 1), rho(d) * rho(d))
+    eq(("rho-prime-m-1", m), rho_prime(m - 1), LaurentScalar.from_int(m))
+
+    # rho(alpha) rho(beta) against the single binomial, over the whole sweep
+    for a in range(1, 3 * m - 1):
+        p = rou.RouParams.from_ma(m, a)
+        lhs = rho(p.alpha) * rho(p.beta)
+        rhs = rho(p.bottom) * rho(m - 1) * qbinom(m - 1 - p.bottom, p.alpha - p.bottom)
+        eq(("rho-product", m, a), lhs, rhs)
+
+    # magic at the root, per parity of m
+    one_minus_q2 = ONE - q_pow(2)
+    if m % 2 == 0:
+        for beta in range(d - 1, m):
+            eq(("magic-even-0", m, beta), magic(3 * d, 4 * d, beta, 0),
+               sign(beta + d - 1) * q_pow(binom2(d)) * rho(d - 1))
+            eq(("magic-even-1", m, beta), magic(3 * d, 4 * d, beta, -1) * one_minus_q2,
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
+            eq(("magic-even-3", m, beta),
+               q_pow(beta) * magic(3 * d, 4 * d - 1, beta, -1) * one_minus_q2,
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
+    else:
+        for beta in range(d, m):
+            eq(("magic-odd-odd", m, beta), magic(3 * d + 2, 4 * d + 2, beta, -1),
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
+        for beta in range(d - 1, m):
+            eq(("magic-even-even-1", m, beta), magic(3 * d + 1, 4 * d + 2, beta, 1),
+               sign(beta + d - 1) * q_pow(binom2(d)) * rho(d - 1))
+            eq(("magic-even-even-2", m, beta),
+               magic(3 * d + 1, 4 * d + 2, beta, 0) * one_minus_q2,
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
+            eq(("magic-even-even-3", m, beta),
+               q_pow(beta) * magic(3 * d + 1, 4 * d + 1, beta, 0) * one_minus_q2,
+               sign(beta + d) * q_pow(binom2(d + 1)) * rho(d))
+
+    # the assembled gamma block and the easy remaining factors, at k = 2m
+    for a in range(max(1, m - 1), min(2 * m, 3 * m - 2) + 1):
+        p = rou.RouParams.from_ma(m, a)
+        cexp = binom2(d) if (a % 2 == 0 and p.b % 2 == 0) else binom2(d + 1)
+        expected = (
+            sign(d + p.b + 1)
+            * (m * m)
+            * qbinom(m - 1 - p.bottom, p.alpha - p.bottom)
+            * q_pow(cexp - binom2(p.alpha + 1) - binom2(p.beta + 1))
+        )
+        for i in (1, 2, 3):
+            fac = cf.factors_standard(a, p.b, i, 2 * m)
+            eq(("gamma-block", m, a, i), fac.mu * fac.gamma1 * fac.gamma2 * fac.gamma3, expected)
+            eq(("kappa1", m, a, i), fac.kappa1, p_pow(4 * m))
+            eq(("kappa2", m, a, i), fac.kappa2, ONE)
+            eq(("lambda5", m, a, i), fac.lambda5, ONE)
+
+
 def suite_rou_lemmas(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     max_m = bounds.m(8)
-    rec = Recorder()
+    rec = VerifyReport("rou-lemmas", {"max_m": max_m})
     for m in range(2, max_m + 1):
-        rec.merge(rou.rou_lemma_suite(m))
-    return rec.report("rou-lemmas", {"max_m": max_m})
+        _rou_lemmas(rec, m)
+    return rec
 
 
-def _rou_xi_unit(args: tuple[int, int]) -> Recorder:
+def _rou_xi_unit(args: tuple[int, int]) -> VerifyReport:
     m, a = args
-    rec = Recorder()
+    rec = VerifyReport("rou-xi", {"m": m, "a": a})
     values = [rou.xi_rou_specialized(m, a, i, "oracle") for i in (1, 2, 3)]
     rec.eq(("i-independent", m, a, 2), values[1], values[0])
     rec.eq(("i-independent", m, a, 3), values[2], values[0])
@@ -439,11 +522,11 @@ def suite_rou_xi(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     specialized closed formula and specialized oracle all agree; values vanish
     exactly for a outside [m-1, 2m], are i-independent and divisible by m^2."""
     max_m = bounds.m(6)
-    rec = Recorder()
+    rec = VerifyReport("rou-xi", {"max_m": max_m, "jobs": jobs})
     units = [(m, a) for m in range(2, max_m + 1) for a in range(3 * m)]
     for unit in _run_units(_rou_xi_unit, units, jobs):
         rec.merge(unit)
-    return rec.report("rou-xi", {"max_m": max_m, "jobs": jobs})
+    return rec
 
 
 def suite_q1_degeneration(bounds: Bounds, jobs: int = 1) -> VerifyReport:
@@ -451,7 +534,7 @@ def suite_q1_degeneration(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     word scalar of length at least 4."""
     max_nu = bounds.nu(10)
     max_len = bounds.len_(10)
-    rec = Recorder()
+    rec = VerifyReport("q1-degeneration", {"max_nu": max_nu, "max_len": max_len})
     for nu in range(2, max_nu + 1):
         for eps in (-1, 0, 1):
             for k in range(1, 2 * nu + 2):
@@ -461,7 +544,7 @@ def suite_q1_degeneration(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     for ell in range(4, max_len + 1):
         for key, value in _formula_layer(ell).items():
             rec.eq(("xi-at-one", *key), value.at_one(), 0)
-    return rec.report("q1-degeneration", {"max_nu": max_nu, "max_len": max_len})
+    return rec
 
 
 SUITES = {
@@ -485,4 +568,6 @@ SUITES = {
 def run_suite(name: str, bounds: Bounds | None = None, jobs: int = 1) -> VerifyReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    return SUITES[name](bounds or Bounds(), jobs)
+    report = SUITES[name](bounds or Bounds(), jobs)
+    report.counterexamples.sort(key=lambda c: tuple(map(str, c.inputs)))
+    return report

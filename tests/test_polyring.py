@@ -36,6 +36,17 @@ polys = st.builds(
         st.sampled_from([e for f in monomials(6) for e in f.terms()]), small_scalars, max_size=6
     ),
 )
+# many monomials of one degree, with wide coefficients: demazure sends many
+# series terms onto one output monomial, and some of them cancel
+dense_polys = st.builds(
+    TriPoly,
+    st.dictionaries(
+        st.sampled_from([e for f in monomials(9) for e in f.terms()]),
+        st.builds(LaurentScalar, st.dictionaries(st.integers(-4, 4), st.integers(-3, 3),
+                                                 min_size=1, max_size=6)),
+        max_size=12,
+    ),
+)
 
 
 def test_normalize_index():
@@ -150,11 +161,18 @@ def test_render_and_json():
     assert X2.render() == "x2"
 
 
-@given(polys, st.sampled_from((1, 2, 3)))
+@given(st.one_of(polys, dense_polys), st.sampled_from((1, 2, 3)))
 @settings(max_examples=200)
 def test_demazure_times_divisor_is_numerator(f, i):
     divisor = x_var(i) - x_var(normalize_index(i + 1)) * z_pow(1)
     assert divisor * demazure(i, f) == f - s_action(i, f)
+
+
+@given(dense_polys, st.sampled_from((1, 2, 3)))
+@settings(max_examples=100)
+def test_demazure_kills_symmetrized_dense_polys(f, i):
+    # every series term of f meets its negative from s_i(f)
+    assert demazure(i, f + s_action(i, f)) == TriPoly.zero()
 
 
 @given(polys, st.sampled_from((1, 2, 3)))

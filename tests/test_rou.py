@@ -5,12 +5,12 @@ from qdemazure.rou import (
     CycElem,
     RouParams,
     cyclotomic_poly,
-    rou_lemma_suite,
     specialize,
     xi_rou_corollary,
     xi_rou_formula,
     xi_rou_specialized,
 )
+from qdemazure.verify import Bounds, run_suite
 
 
 def test_cyclotomic_small():
@@ -167,11 +167,8 @@ def test_nonzero_values_divisible_by_m_squared():
 
 
 def test_lemma_suite_passes():
-    for m in range(2, 6):
-        report = rou_lemma_suite(m)
-        assert report.passed, report.render_text()
-    with pytest.raises(ValueError):
-        rou_lemma_suite(1)
+    report = run_suite("rou-lemmas", Bounds(max_m=5))
+    assert report.passed, report.render_text()
 
 
 def test_oracle_specialization_m2():

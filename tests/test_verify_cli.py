@@ -49,8 +49,8 @@ def test_unknown_suite():
 
 
 def test_reports_are_deterministic():
-    a = run_suite("symmetries", Bounds(max_len=5)).to_json(timestamp=False)
-    b = run_suite("symmetries", Bounds(max_len=5)).to_json(timestamp=False)
+    a, b = (json.dumps(run_suite("symmetries", Bounds(max_len=5)).to_dict(timestamp=False),
+                       sort_keys=True) for _ in range(2))
     assert a == b
 
 
@@ -225,7 +225,7 @@ def _mutate_factors(monkeypatch, mutate):
         if name.startswith("qdemazure.") and getattr(module, "factors_standard", None) is real:
             monkeypatch.setattr(module, "factors_standard", mutated)
             patched.add(name)
-    assert patched == {"qdemazure.closed_formula", "qdemazure.rou"}
+    assert patched == {"qdemazure.closed_formula"}
 
 
 def _counterexample_labels(runs):
@@ -291,6 +291,52 @@ def test_base_case_mutation_is_caught(monkeypatch):
     assert labels["symmetries"]
 
 
+# Checks that compare a closed-formula value with its own fold, so they pass
+# whatever the leaves return once l >= 2: label -> the length l of its inputs.
+_FOLD_CHECKS = {
+    # xi_formula rewrites Xi(a, b, i+1, 0) as Xi(a, b, i, l)
+    "rotate": lambda a, b, i: a + b + 1,
+    # xi_formula folds Xi(0, c, j, k) onto bar Xi(c, 0, -j-1, l-k), the same symmetry
+    "bar-flip": lambda c, i, k: c + 1,
+}
+
+
+def test_junk_leaves_fail_every_closed_formula_check(monkeypatch):
+    """With each closed-formula leaf replaced by p^h for a hash h of its
+    arguments, every check that reads the formula fails, except the fold
+    checks of _FOLD_CHECKS at lengths l >= 2: no other check passes by
+    construction."""
+    import hashlib
+
+    import qdemazure.closed_formula as cf
+    from qdemazure.laurent import p_pow
+
+    def junk(name):
+        def leaf(*args):
+            digest = hashlib.sha256(repr((name, args)).encode()).hexdigest()
+            return p_pow(int(digest[:8], 16))
+        return leaf
+
+    for name in ("xi_standard", "xi_klen", "xi_bzero", "base_case"):
+        monkeypatch.setattr(cf, name, junk(name))
+    tally = []
+    real_eq = VerifyReport.eq
+
+    def eq(self, inputs, lhs, rhs):
+        tally.append((inputs, lhs == rhs))
+        real_eq(self, inputs, lhs, rhs)
+
+    monkeypatch.setattr(VerifyReport, "eq", eq)
+    for suite, bounds in (("symmetries", Bounds(max_len=6)), ("recursions", Bounds(max_len=6)),
+                          ("q1-degeneration", Bounds(max_len=6, max_nu=2))):
+        run_suite(suite, bounds)
+    checked = [(inputs, passed) for inputs, passed in tally if inputs[0] != "magic-at-one"]
+    assert len(checked) == 779
+    for (label, *rest), passed in checked:
+        length = _FOLD_CHECKS.get(label)
+        assert passed == (length is not None and length(*rest) >= 2), (label, *rest)
+
+
 def _package_tree(module: str) -> ast.Module:
     path = Path(qdemazure.__file__).parent / f"{module}.py"
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -324,6 +370,14 @@ def test_evaluators_are_independent():
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not named & {"recursion_step", "_xi_recursive"}, fn
+
+
+def test_only_verify_builds_reports():
+    """verify records every check; cli only reads the schema version."""
+    importers = {path.stem for path in Path(qdemazure.__file__).parent.glob("*.py")
+                 if "report" in _imports(path.stem)}
+    assert importers == {"verify", "cli"}
+    assert _imports("cli")["report"] == {"SCHEMA_VERSION"}
 
 
 def test_only_laurent_knows_the_packed_format():
@@ -447,6 +501,7 @@ def test_cli_usage_errors(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "rou-xi", "--max-m", "1"],
+    ["verify", "rou-lemmas", "--max-m", "1"],
     ["verify", "formula-vs-oracle", "--max-len", "0"],
 ])
 def test_cli_vacuous_sweep_is_usage_error(argv, capsys):
