@@ -414,22 +414,6 @@ def exact_div(f: LaurentScalar, g: LaurentScalar) -> LaurentScalar:
     return LaurentScalar(quot)
 
 
-@lru_cache(maxsize=None)
-def qnum(k: int) -> LaurentScalar:
-    """The balanced quantum number [k] = q^{k-1} + q^{k-3} + ... + q^{1-k}.
-
-    Odd under negation: [−k] = −[k], and [0] = 0, [1] = 1.
-
-    >>> qnum(2) == q_pow(1) + q_pow(-1)
-    True
-    >>> qnum(-3) == -(q_pow(2) + 1 + q_pow(-2))
-    True
-    """
-    if k < 0:
-        return -qnum(-k)
-    return LaurentScalar({-3 * (k - 1 - 2 * t): 1 for t in range(k)})
-
-
 def _positive_top(n: int, j: int) -> tuple[int, int]:
     """(top, s) with qbinom(n, j) == s * qbinom(top, j) and top >= 0, for j >= 0:
     the negative-top sign rule qbinom(-d-1, j) == (-1)^j * qbinom(d+j, j)."""
@@ -489,7 +473,7 @@ def qbinom(n: int, j: int) -> LaurentScalar:
     checked at q = 1.  It is 0 for j < 0 and for 0 <= n < j, and follows the
     negative-top sign rule qbinom(-d-1, j) == (-1)^j * qbinom(d+j, j).
 
-    >>> qbinom(2, 1) == qnum(2)
+    >>> qbinom(2, 1) == q_pow(1) + q_pow(-1)
     True
     >>> qbinom(-3, 2) == qbinom(4, 2)
     True
@@ -504,6 +488,19 @@ def qbinom(n: int, j: int) -> LaurentScalar:
     # the 1,024 entries of _packed_qbinom.
     out = _unpack([_packed_qbinom.__wrapped__(n, j, nbytes)], nbytes)
     return _check_at_one(out, expected, f"qbinom({n}, {j})")
+
+
+def qnum(k: int) -> LaurentScalar:
+    """The balanced quantum number [k] = q^{k-1} + q^{k-3} + ... + q^{1-k}.
+
+    Odd under negation: [−k] = −[k], and [0] = 0, [1] = 1.
+
+    >>> qnum(2) == q_pow(1) + q_pow(-1)
+    True
+    >>> qnum(-3) == -(q_pow(2) + 1 + q_pow(-2))
+    True
+    """
+    return qbinom(k, 1)
 
 
 def qbinom_product_sum(terms: Iterable[tuple[int, int, int, int, int]], what: str) -> LaurentScalar:

@@ -290,6 +290,9 @@ def test_qnum_examples():
     assert qnum(0) == ZERO
     assert qnum(1) == ONE
     assert qnum(-3) == -(q_pow(2) + 1 + q_pow(-2))
+    for k in range(0, 40):
+        want = lsum(q_pow(k - 1 - 2 * t) for t in range(k))
+        assert qnum(k) == want and qnum(-k) == -want
 
 
 def test_qnum_is_bar_invariant():
@@ -312,7 +315,7 @@ def test_qbinom_matches_enumeration(n):
 
 
 def test_qbinom_examples():
-    assert qbinom(2, 1) == qnum(2)
+    assert qbinom(2, 1) == q_pow(1) + q_pow(-1)
     assert qbinom(-3, 2) == qbinom(4, 2)
     assert qbinom(6, 3) == _gaussian_binomial_by_enumeration(6, 3)
     assert qbinom(6, 3).at_one() == comb(6, 3) == 20

@@ -19,8 +19,8 @@ from qdemazure.report import Counterexample, VerifyReport
 from qdemazure.verify import Bounds, SUITES, run_suite
 
 SMALL_BOUNDS_CHECKS = {
-    "relations": 4032, "symmetries": 380, "recursions": 123, "formula-vs-oracle": 1008,
-    "magic-golden": 5, "magic-genfun": 366, "magic-symmetry": 156, "chu-vandermonde": 901,
+    "relations": 4032, "symmetries": 180, "recursions": 123, "formula-vs-oracle": 1008,
+    "magic-golden": 2, "magic-genfun": 366, "magic-symmetry": 78, "chu-vandermonde": 901,
     "magic-recursion": 218, "telescope": 148, "rou-lemmas": 219, "rou-xi": 171,
     "q1-degeneration": 540, "calibration": 43,
 }
@@ -117,10 +117,10 @@ def test_magic_symmetry_counterexample_shows_both_sides(monkeypatch):
     monkeypatch.setattr(mmod, "magic", off_at_one_point)
     report = run_suite("magic-symmetry", Bounds(max_nu=4))
     assert report.checks == SMALL_BOUNDS_CHECKS["magic-symmetry"]
+    # the check at k = 5 is the same identity times q^4, so it is not made
     bad, mirror = real(3, 1, 1, 0) + 1, real(3, 5, 1, 0)
     assert [(c.inputs, c.lhs, c.rhs) for c in report.counterexamples] == [
         (("symmetry", 3, 0, 1, 1), bad.render(), (q_pow(-4) * mirror).render()),
-        (("symmetry", 3, 0, 5, 1), mirror.render(), (q_pow(4) * bad).render()),
     ]
 
 
@@ -291,50 +291,85 @@ def test_base_case_mutation_is_caught(monkeypatch):
     assert labels["symmetries"]
 
 
-# Checks that compare a closed-formula value with its own fold, so they pass
-# whatever the leaves return once l >= 2: label -> the length l of its inputs.
-_FOLD_CHECKS = {
-    # xi_formula rewrites Xi(a, b, i+1, 0) as Xi(a, b, i, l)
-    "rotate": lambda a, b, i: a + b + 1,
-    # xi_formula folds Xi(0, c, j, k) onto bar Xi(c, 0, -j-1, l-k), the same symmetry
-    "bar-flip": lambda c, i, k: c + 1,
-}
-
-
-def test_junk_leaves_fail_every_closed_formula_check(monkeypatch):
-    """With each closed-formula leaf replaced by p^h for a hash h of its
-    arguments, every check that reads the formula fails, except the fold
-    checks of _FOLD_CHECKS at lengths l >= 2: no other check passes by
-    construction."""
+def _junk(name):
+    """A stand-in for a leaf that returns p^h, h from sha256 of its arguments."""
     import hashlib
 
-    import qdemazure.closed_formula as cf
     from qdemazure.laurent import p_pow
 
-    def junk(name):
-        def leaf(*args):
-            digest = hashlib.sha256(repr((name, args)).encode()).hexdigest()
-            return p_pow(int(digest[:8], 16))
-        return leaf
+    def leaf(*args):
+        digest = hashlib.sha256(repr((name, args)).encode()).hexdigest()
+        return p_pow(int(digest[:8], 16))
+    return leaf
 
-    for name in ("xi_standard", "xi_klen", "xi_bzero", "base_case"):
-        monkeypatch.setattr(cf, name, junk(name))
+
+def _tally_checks(monkeypatch) -> list:
+    """Wrap VerifyReport.eq so that each check appends (inputs, lhs, rhs) to
+    the returned list."""
     tally = []
     real_eq = VerifyReport.eq
 
     def eq(self, inputs, lhs, rhs):
-        tally.append((inputs, lhs == rhs))
+        tally.append((inputs, lhs, rhs))
         real_eq(self, inputs, lhs, rhs)
 
     monkeypatch.setattr(VerifyReport, "eq", eq)
+    return tally
+
+
+def test_junk_leaves_fail_every_closed_formula_check(monkeypatch):
+    """With each closed-formula leaf replaced by junk, every check that reads
+    the formula fails: none passes by construction."""
+    import qdemazure.closed_formula as cf
+
+    for name in ("xi_standard", "xi_klen", "xi_bzero", "base_case"):
+        monkeypatch.setattr(cf, name, _junk(name))
+    tally = _tally_checks(monkeypatch)
     for suite, bounds in (("symmetries", Bounds(max_len=6)), ("recursions", Bounds(max_len=6)),
                           ("q1-degeneration", Bounds(max_len=6, max_nu=2))):
         run_suite(suite, bounds)
-    checked = [(inputs, passed) for inputs, passed in tally if inputs[0] != "magic-at-one"]
-    assert len(checked) == 779
-    for (label, *rest), passed in checked:
-        length = _FOLD_CHECKS.get(label)
-        assert passed == (length is not None and length(*rest) >= 2), (label, *rest)
+    # magic-at-one reads no leaf
+    checked = [(inputs, lhs == rhs) for inputs, lhs, rhs in tally if inputs[0] != "magic-at-one"]
+    assert len(checked) == 579
+    assert [inputs for inputs, passed in checked if passed] == []
+
+
+def test_junk_base_cases_fail_every_nonzero_recursion_check(monkeypatch):
+    """With each base case of the recursion replaced by junk, every
+    recursion-vs-oracle check at a nonzero oracle value fails.  The others sit
+    at oracle zeros that recursion_step returns without reading a base case."""
+    import qdemazure.words as words
+
+    for key in list(words._BASE_CASES):
+        monkeypatch.setitem(words._BASE_CASES, key, _junk("base_case")(*key))
+    tally = _tally_checks(monkeypatch)
+    words._xi_recursive.cache_clear()
+    try:
+        run_suite("formula-vs-oracle", Bounds(max_len=6), jobs=1)
+    finally:
+        words._xi_recursive.cache_clear()
+    checked = [(inputs, lhs == rhs) for inputs, lhs, rhs in tally
+               if inputs[0] == "recursion-vs-oracle" and not rhs.is_zero()]
+    assert len(checked) == 228
+    assert [inputs for inputs, passed in checked if passed] == []
+
+
+def test_wrong_fold_is_caught_by_the_oracle(monkeypatch):
+    """A closed formula that folds onto the wrong letter is caught by the
+    oracle and by the other formula sweeps, with no check that compares a
+    value with its own fold."""
+    import qdemazure.closed_formula as cf
+
+    real = cf.normalize_index
+    monkeypatch.setattr(cf, "normalize_index", lambda i: real(i + 1))
+    labels = _counterexample_labels([
+        ("formula-vs-oracle", Bounds(max_len=6)),
+        ("symmetries", Bounds(max_len=6)),
+        ("recursions", Bounds(max_len=6)),
+    ])
+    assert labels["formula-vs-oracle"] == {"formula-vs-oracle"}
+    assert {"k-reflect-1", "k-reflect-23", "midpoint-zero"} <= labels["symmetries"]
+    assert {"i1-sum", "i2-top-zero"} <= labels["recursions"]
 
 
 def _package_tree(module: str) -> ast.Module:
