@@ -529,21 +529,21 @@ def qbinom_product_sum(terms: Iterable[tuple[int, int, int, int, int]], what: st
     return _check_at_one(_unpack(products, nbytes), sum(t[0] for t in at_one), what)
 
 
-@lru_cache(maxsize=None)
 def rho(d: int) -> LaurentScalar:
-    """The product (q^1 - q^-1)(q^2 - q^-2)...(q^d - q^-d); rho(0) = 1."""
+    """The product (q^1 - q^-1)(q^2 - q^-2)...(q^d - q^-d); rho(0) = 1.
+
+    Each factor is q^j (1 - q^-2j), so rho(d) = q^binom(d+1,2) * rho_prime(d)."""
     if d < 0:
         raise ValueError("rho needs d >= 0")
-    return ONE if d == 0 else rho(d - 1) * (q_pow(d) - q_pow(-d))
+    return q_pow(binom2(d + 1)) * rho_prime(d)
 
 
 @lru_cache(maxsize=None)
 def rho_prime(d: int) -> LaurentScalar:
     """The product (1 - q^-2)(1 - q^-4)...(1 - q^-2d).
 
-    Equals q^{-binom(d+1,2)} * rho(d).  The value d = -1 is accepted and gives
-    the empty product 1, which is what the length-edge closed formulas need
-    when b = 0.
+    The value d = -1 is accepted and gives the empty product 1, which is what
+    the length-edge closed formulas need when b = 0.
     """
     if d < -1:
         raise ValueError("rho_prime needs d >= -1")

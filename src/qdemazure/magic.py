@@ -270,14 +270,38 @@ def telescope_sides(variant: str, nu: int, k: int, beta: int) -> tuple[LaurentSc
     return lhs, rhs
 
 
-def _reformed_partial_sums(B: int, shift: int, summand, closed_form) -> list[TriPoly]:
-    """The loop behind the two reformed partial-sum functions, whose docstrings
-    give the summand, closed form and step ratio for shift 1 and 2.  A closed
-    form or ratio that fails raises ArithmeticError, which survives -O."""
+# variant -> (shift s, weight w(a) of the a-th summand, weight W(a) of the closed form)
+REFORMED = {
+    "reformed": (1, lambda a: qnum(2 * a + 1) * q_pow(2 * binom2(a + 1)), lambda a: qnum(a + 1)),
+    "reformed-even": (2, lambda a: qnum(a + 1) * qnum(2 * a + 2) * q_pow(2 * binom2(a + 1) + a),
+                      lambda a: qnum(a + 1) * qnum(a + 2)),
+}
+
+
+def reformed_telescope_sides(variant: str, B: int) -> list[tuple[tuple, TriPoly, TriPoly]]:
+    """Both sides of each partial-sum identity of a reformed telescope variant:
+    (("closed", B, a), PS(a), its closed form) for a = 0..B and
+    (("ratio", B, a), lhs, rhs) for a = 1..B.  With shift s, the a-th summand is
+        (-1)^a w(a) * prod_{i=1..a} (1 + q^(-s-2i) x) * prod_{i=a..B-1} (1 + q^(s+2i) x),
+    PS(a), the sum of the summands 0..a, has the closed form
+        (-1)^a q^(-2a) W(a) * prod_{i=2..a+1} (q^(s+2i) + x) * prod_{i=a..B-1} (1 + q^(s+2i) x),
+    and the step ratio, multiplied out, is
+        PS(a)/PS(a-1) = -q^(-2) ([a+s]/[a]) (q^(2a+2+s) + x)/(1 + q^(2a-2+s) x).
+    "reformed" has s = 1, w(a) = [2a+1] q^(2*binom(a+1,2)) and W(a) = [a+1];
+    "reformed-even" has s = 2, w(a) = [a+1][2a+2] q^(2*binom(a+1,2)+a) and
+    W(a) = [a+1][a+2].
+
+    For every B >= a both sides of each identity at a share the factor
+    prod_{i=a..B-1} (1 + q^(s+2i) x), and Z[p^±1][x] has no zero divisors, so
+    an identity that holds at one B holds at every B.
+    """
+    if variant not in REFORMED:
+        raise ValueError(f"unknown reformed telescope variant {variant!r}")
     if B < 0:
         raise ValueError("B must be nonnegative")
-    sums: list[TriPoly] = []
-    acc = TriPoly.zero()
+    shift, summand, closed_form = REFORMED[variant]
+    sides = []
+    prev = acc = TriPoly.zero()
     for a in range(B + 1):
         f = TriPoly.monomial((0, 0, 0), sign(a) * summand(a))
         for i in range(1, a + 1):
@@ -290,53 +314,10 @@ def _reformed_partial_sums(B: int, shift: int, summand, closed_form) -> list[Tri
             closed = closed * _linear(q_pow(shift + 2 * i), ONE)
         for i in range(a, B):
             closed = closed * _linear(ONE, q_pow(shift + 2 * i))
-        if acc != closed:
-            raise ArithmeticError(f"partial-sum closed form fails at a={a}, B={B}")
+        sides.append((("closed", B, a), acc, closed))
         if a >= 1:
-            lhs = acc * qnum(a) * _linear(ONE, q_pow(2 * a - 2 + shift))
-            rhs = sums[-1] * (-q_pow(-2) * qnum(a + shift)) * _linear(q_pow(2 * a + 2 + shift), ONE)
-            if lhs != rhs:
-                raise ArithmeticError(f"partial-sum ratio fails at a={a}, B={B}")
-        sums.append(acc)
-    return sums
-
-
-def reformed_telescope_partial_sums(B: int) -> list[TriPoly]:
-    """Partial sums PS(0..B) of the single-weight telescoping identity.
-
-    The a-th summand is
-
-        (-1)^a [2a+1] q^(2*binom(a+1,2))
-            * prod_{i=1..a} (1 + q^(-1-2i) x) * prod_{i=a..B-1} (1 + q^(1+2i) x)
-
-    and each partial sum is verified on the way against its closed form
-
-        PS(a) = (-1)^a q^(-2a) [a+1]
-            * prod_{i=2..a+1} (q^(1+2i) + x) * prod_{i=a..B-1} (1 + q^(1+2i) x)
-
-    as well as against the step ratio
-    PS(a)/PS(a-1) = -q^(-2) ([a+1]/[a]) (q^(2a+3) + x)/(1 + q^(2a-1) x).
-    """
-    return _reformed_partial_sums(
-        B, 1,
-        lambda a: qnum(2 * a + 1) * q_pow(2 * binom2(a + 1)),
-        lambda a: qnum(a + 1),
-    )
-
-
-def reformed_telescope_even_partial_sums(B: int) -> list[TriPoly]:
-    """Partial sums of the double-weight variant, with summand
-
-        (-1)^a [a+1][2a+2] q^(2*binom(a+1,2)+a)
-            * prod_{i=1..a} (1 + q^(-2-2i) x) * prod_{i=a..B-1} (1 + q^(2+2i) x)
-
-    closed form PS(a) = (-1)^a q^(-2a) [a+1][a+2]
-        * prod_{i=2..a+1} (q^(2i+2) + x) * prod_{i=a..B-1} (1 + q^(2+2i) x)
-
-    and step ratio -q^(-2) ([a+2]/[a]) (q^(2a+4) + x)/(1 + q^(2a) x).
-    """
-    return _reformed_partial_sums(
-        B, 2,
-        lambda a: qnum(a + 1) * qnum(2 * a + 2) * q_pow(2 * binom2(a + 1) + a),
-        lambda a: qnum(a + 1) * qnum(a + 2),
-    )
+            sides.append((("ratio", B, a),
+                          acc * qnum(a) * _linear(ONE, q_pow(2 * a - 2 + shift)),
+                          prev * (-q_pow(-2) * qnum(a + shift)) * _linear(q_pow(2 * a + 2 + shift), ONE)))
+        prev = acc
+    return sides

@@ -22,6 +22,7 @@ from .laurent import (
     sign, z_pow,
 )
 from .magic import (
+    REFORMED,
     TELESCOPE_WINDOWS,
     chu_vandermonde_special,
     gen_interval_Xprime,
@@ -31,8 +32,7 @@ from .magic import (
     magic_genfun_for3,
     magic_recursion_sides,
     magic_symmetry_sides,
-    reformed_telescope_even_partial_sums,
-    reformed_telescope_partial_sums,
+    reformed_telescope_sides,
     telescope_sides,
     telescope_window,
     xprime_difference,
@@ -394,14 +394,10 @@ def suite_telescope(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                 for beta in range(nu + 1):
                     lhs, rhs = telescope_sides(variant, nu, k, beta)
                     rec.eq((variant, nu, k, beta), lhs, rhs)
-    for B in range(0, max_nu):
-        for label, partial_sums in (("reformed", reformed_telescope_partial_sums),
-                                    ("reformed-even", reformed_telescope_even_partial_sums)):
-            try:
-                partial_sums(B)
-                rec.ok((label, B), True)
-            except ArithmeticError as exc:
-                rec.ok((label, B), False, str(exc))
+    if max_nu >= 1:  # one B covers every B < max_nu: see reformed_telescope_sides
+        for variant in REFORMED:
+            for label, lhs, rhs in reformed_telescope_sides(variant, max_nu - 1):
+                rec.eq((variant, *label), lhs, rhs)
     return rec
 
 
@@ -529,7 +525,9 @@ def suite_rou_xi(bounds: Bounds, jobs: int = 1) -> VerifyReport:
 
 def suite_q1_degeneration(bounds: Bounds, jobs: int = 1) -> VerifyReport:
     """p -> 1 sends magic to an ordinary binomial coefficient and kills every
-    word scalar of length at least 4."""
+    word scalar of length at least 4.  xi-at-one skips k = 0 and a = 0, which
+    xi_formula folds onto k = l and b = 0: at p = 1 such a value is a sign
+    times the value it folds onto, so its check would restate that one."""
     max_nu = bounds.nu(10)
     max_len = bounds.len_(10)
     rec = VerifyReport("q1-degeneration", {"max_nu": max_nu, "max_len": max_len})
@@ -540,8 +538,9 @@ def suite_q1_degeneration(bounds: Bounds, jobs: int = 1) -> VerifyReport:
                     rec.eq(("magic-at-one", nu, k, beta, eps),
                            magic(nu, k, beta, eps).at_one(), comb(nu - 2, beta))
     for ell in range(4, max_len + 1):
-        for key, value in _formula_layer(ell).items():
-            rec.eq(("xi-at-one", *key), value.at_one(), 0)
+        for (a, b, i, k), value in _formula_layer(ell).items():
+            if a >= 1 and k >= 1:
+                rec.eq(("xi-at-one", a, b, i, k), value.at_one(), 0)
     return rec
 
 

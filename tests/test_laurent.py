@@ -481,9 +481,12 @@ def test_rho_examples():
         rho_prime(-2)
 
 
-def test_rho_prime_is_normalized_rho():
-    for d in range(0, 7):
-        assert rho_prime(d) == q_pow(-(d + 1) * d // 2) * rho(d)
+def test_rho_is_the_explicit_product():
+    product = ONE
+    for d in range(25):
+        if d:
+            product = product * (q_pow(d) - q_pow(-d))
+        assert rho(d) == product, d
 
 
 def test_power_difference_identity():

@@ -17,8 +17,8 @@ from qdemazure.magic import (
     magic_recursion_sides,
     magic_symmetry_sides,
     parity_interval,
-    reformed_telescope_even_partial_sums,
-    reformed_telescope_partial_sums,
+    REFORMED,
+    reformed_telescope_sides,
     telescope_sides,
     term,
     xprime_difference,
@@ -268,23 +268,47 @@ def test_telescope_examples():
         telescope_sides("spiral", 4, 5, 2)
 
 
+def _partial_sums(variant, B):
+    """PS(0..B) of a reformed variant, once every identity of its sides holds."""
+    sides = reformed_telescope_sides(variant, B)
+    assert all(lhs == rhs for _, lhs, rhs in sides)
+    return [lhs for (kind, _, _), lhs, _ in sides if kind == "closed"]
+
+
 def test_reformed_telescope():
-    sums = reformed_telescope_partial_sums(3)
+    sums = _partial_sums("reformed", 3)
     assert len(sums) == 4
     # final partial sum agrees with the closed product form
     closed = TriPoly.monomial((0, 0, 0), q_pow(-6) * qnum(4) * -1)
     for i in range(2, 5):
         closed = closed * _linear(q_pow(1 + 2 * i), ONE)
     assert sums[-1] == closed
-    reformed_telescope_partial_sums(0)
+    assert [label for label, _, _ in reformed_telescope_sides("reformed", 0)] == [("closed", 0, 0)]
     with pytest.raises(ValueError):
-        reformed_telescope_partial_sums(-1)
+        reformed_telescope_sides("reformed", -1)
+    with pytest.raises(ValueError):
+        reformed_telescope_sides("spiral", 2)
 
 
 def test_reformed_telescope_even():
-    sums = reformed_telescope_even_partial_sums(4)
+    sums = _partial_sums("reformed-even", 4)
     assert len(sums) == 5
     closed = TriPoly.monomial((0, 0, 0), q_pow(-8) * qnum(5) * qnum(6))
     for i in range(2, 6):
         closed = closed * _linear(q_pow(2 * i + 2), ONE)
     assert sums[-1] == closed
+
+
+@pytest.mark.parametrize("variant", sorted(REFORMED))
+def test_reformed_sides_at_every_B_share_one_factor(variant):
+    """Both sides of each identity at a, taken at B >= a, are its sides at
+    B = a times prod_{i=a..B-1} (1 + q^(s+2i) x); so one B checks every B."""
+    shift = REFORMED[variant][0]
+    at_a = {}
+    for B in range(7):
+        for (kind, _, a), lhs, rhs in reformed_telescope_sides(variant, B):
+            at_a.setdefault((kind, a), (lhs, rhs))  # B ascends, so this is B = a
+            factor = TriPoly.one()
+            for i in range(a, B):
+                factor = factor * _linear(ONE, q_pow(shift + 2 * i))
+            assert (lhs, rhs) == tuple(side * factor for side in at_a[kind, a]), (kind, B, a)

@@ -21,8 +21,8 @@ from qdemazure.verify import Bounds, SUITES, run_suite
 SMALL_BOUNDS_CHECKS = {
     "relations": 4032, "symmetries": 180, "recursions": 123, "formula-vs-oracle": 1008,
     "magic-golden": 2, "magic-genfun": 366, "magic-symmetry": 78, "chu-vandermonde": 901,
-    "magic-recursion": 218, "telescope": 148, "rou-lemmas": 219, "rou-xi": 171,
-    "q1-degeneration": 540, "calibration": 43,
+    "magic-recursion": 218, "telescope": 154, "rou-lemmas": 219, "rou-xi": 171,
+    "q1-degeneration": 450, "calibration": 43,
 }
 
 
@@ -130,14 +130,8 @@ def test_reformed_failure_is_reported_under_optimize():
         import qdemazure.magic as magic
         from qdemazure.verify import Bounds, run_suite
 
-        loop = magic._reformed_partial_sums
-
-        def broken(B, shift, summand, closed_form):
-            if shift == 1:
-                return loop(B, shift, summand, lambda a: 2 * closed_form(a))
-            return loop(B, shift, summand, closed_form)
-
-        magic._reformed_partial_sums = broken
+        shift, summand, closed_form = magic.REFORMED["reformed"]
+        magic.REFORMED["reformed"] = (shift, summand, lambda a: 2 * closed_form(a))
         report = run_suite("telescope", Bounds(max_nu=3))
         print(json.dumps({"debug": __debug__, "checks": report.checks,
                           "failed": [list(c.inputs) for c in report.counterexamples]}))
@@ -146,8 +140,22 @@ def test_reformed_failure_is_reported_under_optimize():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["debug"] is False
-    assert out["failed"] == [["reformed", 0], ["reformed", 1], ["reformed", 2]]
+    assert out["failed"] == [["reformed", "closed", 2, a] for a in range(3)]
     assert out["checks"] == run_suite("telescope", Bounds(max_nu=3)).checks
+
+
+def test_fault_in_reformed_sums_is_internal_error(monkeypatch, capsys):
+    """An ArithmeticError raised by the code, not by a failed identity, exits 3."""
+    import qdemazure.magic as mmod
+
+    def failing(n):
+        raise ExactDivisionError("(p) is not divisible by (2)")
+
+    monkeypatch.setattr(mmod, "qnum", failing)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "telescope", "--max-nu", "4"])
+    assert exc.value.code == 3
+    assert "internal error: ExactDivisionError: " in capsys.readouterr().err
 
 
 def test_truncation_check_can_fail(monkeypatch):
@@ -330,7 +338,7 @@ def test_junk_leaves_fail_every_closed_formula_check(monkeypatch):
         run_suite(suite, bounds)
     # magic-at-one reads no leaf
     checked = [(inputs, lhs == rhs) for inputs, lhs, rhs in tally if inputs[0] != "magic-at-one"]
-    assert len(checked) == 579
+    assert len(checked) == 489
     assert [inputs for inputs, passed in checked if passed] == []
 
 
@@ -538,6 +546,7 @@ def test_cli_usage_errors(capsys):
     ["verify", "rou-xi", "--max-m", "1"],
     ["verify", "rou-lemmas", "--max-m", "1"],
     ["verify", "formula-vs-oracle", "--max-len", "0"],
+    ["verify", "telescope", "--max-nu", "0"],
 ])
 def test_cli_vacuous_sweep_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
