@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 when a verify suite finds a counterexample, 2 on
 usage errors (including a verify run in which some suite checked nothing, and
 a --out path that cannot be opened for writing, found before any suite runs),
-3 on an unexpected internal error (a ValueError inside a suite included).
+3 on an unexpected internal error (a ValueError inside a suite included).  A
+verify run writes --out only once it has its reports, so a run that ends
+without them leaves the file as it was.
 When stdout is closed early, as by `| head`, the run ends quietly with 141,
 the code of a SIGPIPE death.
 """
@@ -11,7 +13,6 @@ the code of a SIGPIPE death.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -77,27 +78,37 @@ def _cmd_word(args) -> int:
     return 0
 
 
+def _check_out_path(path: str) -> None:
+    """Fail before any sweep runs when path cannot be opened for writing, and
+    leave the file as it was: a run that writes no report keeps the old one."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write the report to {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     bounds = Bounds(max_len=args.max_len, max_nu=args.max_nu, max_m=args.max_m)
-    try:  # a bad --out path must fail before any sweep runs
-        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
-    except OSError as exc:
-        raise UsageError(f"cannot write the report to {args.out}: {exc.strerror}") from None
-    with out:
-        reports = [run_suite(name, bounds, jobs=args.jobs) for name in names]
-        vacuous = [r.suite for r in reports if r.checks == 0]
-        if vacuous:
-            raise UsageError(f"the bounds leave nothing to check in {', '.join(vacuous)}")
-        payload = [r.to_dict() for r in reports]
-        if args.format == "json":
-            print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True))
-        else:
-            for r in reports:
-                print(r.render_text())
-        if args.out:
+    if args.out:
+        _check_out_path(args.out)
+    reports = [run_suite(name, bounds, jobs=args.jobs) for name in names]
+    vacuous = [r.suite for r in reports if r.checks == 0]
+    if vacuous:
+        raise UsageError(f"the bounds leave nothing to check in {', '.join(vacuous)}")
+    payload = [r.to_dict() for r in reports]
+    if args.format == "json":
+        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True))
+    else:
+        for r in reports:
+            print(r.render_text())
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as out:
             json.dump(payload, out, indent=2, sort_keys=True)
     return 0 if all(r.passed for r in reports) else 1
 

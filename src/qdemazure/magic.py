@@ -10,8 +10,11 @@ one of -1, 0, 1.  No closed form is known, but the generating function over
 beta factors as a product of (1 + q^lambda * x) with lambda running over a
 union of two parity intervals, and that factorization drives everything else
 here: the k <-> L-k symmetry, the Chu-Vandermonde special cases, a recursion
-in nu, and four telescoping-sum identities.  The generating functions and the
-reformed telescope partial sums are polyring.TriPoly polynomials in x = x1.
+in nu, and four telescoping-sum identities, stated once over the TELESCOPES
+table.  The generating function and the reformed telescope partial sums are
+polyring.TriPoly polynomials in x = x1.  The i = 3 factor of the staircase
+scalar, q^beta * magic(nu, k-1, beta, eps), is generated by the x -> qx image
+of magic_genfun at k-1.
 
 `magic` is one `qbinom_product_sum` (Kronecker substitution, see laurent);
 `term` keeps one summand as a product of scalars, the definition the packed
@@ -123,17 +126,6 @@ def _linear(c0: LaurentScalar, c1: LaurentScalar) -> TriPoly:
     return TriPoly({(0, 0, 0): c0, (1, 0, 0): c1})
 
 
-def _genfun(nu: int, k: int, eps: int, shift: int) -> TriPoly:
-    window = genfun_window(nu, k, eps)
-    if window is None:
-        raise ValueError(f"k={k + shift} is outside both generating-function windows")
-    out = TriPoly.one()
-    for iv in window(nu, k, eps):
-        for lam in iv:
-            out = out * _linear(ONE, q_pow(lam + shift))
-    return out
-
-
 def magic_genfun(nu: int, k: int, eps: int) -> TriPoly:
     """The polynomial in x = x1 whose x^beta coefficient is magic(nu, k, beta, eps).
 
@@ -141,16 +133,14 @@ def magic_genfun(nu: int, k: int, eps: int) -> TriPoly:
     Valid on the two k-windows of genfun_window; the gap nu <= k <= nu+eps
     between them is rejected.
     """
-    return _genfun(nu, k, eps, 0)
-
-
-def magic_genfun_for3(nu: int, k: int, eps: int) -> TriPoly:
-    """The polynomial in x = x1 whose x^beta coefficient is q^beta * magic(nu, k-1, beta, eps).
-
-    It is magic_genfun at k-1 with every exponent lambda shifted up by one,
-    which multiplies the x^beta coefficient by q^beta.
-    """
-    return _genfun(nu, k - 1, eps, 1)
+    window = genfun_window(nu, k, eps)
+    if window is None:
+        raise ValueError(f"k={k} is outside both generating-function windows")
+    out = TriPoly.one()
+    for iv in window(nu, k, eps):
+        for lam in iv:
+            out = out * _linear(ONE, q_pow(lam))
+    return out
 
 
 # -- identities ---------------------------------------------------------------
@@ -197,76 +187,59 @@ def magic_recursion_sides(nu: int, k: int, beta: int, eps: int) -> tuple[Laurent
     return lhs, rhs
 
 
-# variant -> (l - 2nu, lowest k - nu); the variant holds for lowest k <= k < l
-TELESCOPE_WINDOWS = {"sum": (0, 0), "even_even": (1, 1), "odd_odd": (-1, 0), "odd_even": (0, 0)}
+def _qdiff(a: int, b: int) -> LaurentScalar:
+    """q^a - q^b."""
+    return q_pow(a) - q_pow(b)
+
+
+# variant -> (l - 2nu, lowest k - nu, eps, left weight A(nu, k, beta, l),
+#             nu-drop d, eps', summand weight W(nu, c, beta, l)); see telescope_sides
+TELESCOPES = {
+    "sum": (
+        0, 0, 0, lambda nu, k, b, ell: _qdiff(-2 * k, -2 * nu) * q_pow(k * (k - b - ell + 1)),
+        0, -1, lambda nu, c, b, ell: q_pow(c * (c - b - ell + 3) - 2 * ell + 2),
+    ),
+    "even_even": (
+        1, 1, 1, lambda nu, k, b, ell: _qdiff(2 * k, 2 * nu) * _qdiff(2 * nu, 2 * k - 2) * q_pow(k * (k - b - ell - 2)),
+        0, 0, lambda nu, c, b, ell: _qdiff(-2 * nu, -2 * c) * q_pow(c * (c - b - ell + 4)),
+    ),
+    "odd_odd": (
+        -1, 0, -1, lambda nu, k, b, ell: _qdiff(0, 2 * b) * q_pow(k * (k - b - ell) + ell - 1),
+        1, -1, lambda nu, c, b, ell: _qdiff(0, 2 * c + 6 - 4 * nu) * q_pow(c * (c - b - ell + 3)),
+    ),
+    "odd_even": (
+        0, 0, 0, lambda nu, k, b, ell: (_qdiff(0, 2 * b) * _qdiff(k - nu, nu - k)
+                                        * q_pow(k * (k - b - ell) + 2 * ell - 3)),
+        1, 0, lambda nu, c, b, ell: (_qdiff(c + 1 - nu, nu - c - 1) * _qdiff(ell - 2 - c, c + 2 - ell)
+                                     * q_pow(c * (c - b - ell + 4))),
+    ),
+}
 
 
 def telescope_window(variant: str, nu: int) -> range:
     """The k-window of a telescope variant at nu; its stop is the length l."""
-    if variant not in TELESCOPE_WINDOWS:
+    if variant not in TELESCOPES:
         raise ValueError(f"unknown telescope variant {variant!r}")
-    dl, dk = TELESCOPE_WINDOWS[variant]
+    dl, dk = TELESCOPES[variant][:2]
     return range(nu + dk, 2 * nu + dl)
 
 
 def telescope_sides(variant: str, nu: int, k: int, beta: int) -> tuple[LaurentScalar, LaurentScalar]:
     """Both sides of one of the four telescoping-sum identities, named by the
-    parities of the lengths involved, for k in telescope_window(variant, nu)."""
+    parities of the lengths involved, for k in telescope_window(variant, nu),
+    whose stop is l.  With the variant's TELESCOPES row each one reads
+
+        (-1)^k A(nu, k, beta, l) * magic(nu, k, beta, eps)
+          == sum_{c=l-k..k-1} (-1)^c W(nu, c, beta, l) * magic(nu-d, c, beta-d, eps').
+    """
     window = telescope_window(variant, nu)
     ell = window.stop
     if k not in window:
         raise ValueError(f"k={k} outside {window.start}..{ell - 1}")
-    sgn_k = sign(k)
-
-    def rhs_sum(ell, weight, mag):
-        return lsum(sign(c) * weight(c) * mag(c) for c in range(ell - k, k))
-
-    if variant == "sum":
-        lhs = sgn_k * (q_pow(-2 * k) - q_pow(-2 * nu)) * magic(nu, k, beta, 0) * q_pow(k * (k - beta - ell + 1))
-        rhs = q_pow(-2 * ell + 2) * rhs_sum(
-            ell,
-            lambda c: q_pow(c * (c - beta - ell + 3)),
-            lambda c: magic(nu, c, beta, -1),
-        )
-        return lhs, rhs
-    if variant == "even_even":
-        lhs = (
-            sgn_k
-            * (q_pow(2 * k) - q_pow(2 * nu))
-            * (q_pow(2 * nu) - q_pow(2 * k - 2))
-            * magic(nu, k, beta, 1)
-            * q_pow(k * (k - beta - ell - 2))
-        )
-        rhs = rhs_sum(
-            ell,
-            lambda c: (q_pow(-2 * nu) - q_pow(-2 * c)) * q_pow(c * (c - beta - ell + 4)),
-            lambda c: magic(nu, c, beta, 0),
-        )
-        return lhs, rhs
-    if variant == "odd_odd":
-        lhs = sgn_k * q_pow(ell - 1) * (ONE - q_pow(2 * beta)) * magic(nu, k, beta, -1) * q_pow(k * (k - beta - ell))
-        rhs = rhs_sum(
-            ell,
-            lambda c: (ONE - q_pow(2 * c + 6 - 4 * nu)) * q_pow(c * (c - beta - ell + 3)),
-            lambda c: magic(nu - 1, c, beta - 1, -1),
-        )
-        return lhs, rhs
-    # odd_even
-    lhs = (
-        sgn_k
-        * q_pow(2 * ell - 3)
-        * (ONE - q_pow(2 * beta))
-        * (q_pow(k - nu) - q_pow(nu - k))
-        * magic(nu, k, beta, 0)
-        * q_pow(k * (k - beta - ell))
-    )
-    rhs = rhs_sum(
-        ell,
-        lambda c: (q_pow(c + 1 - nu) - q_pow(nu - c - 1))
-        * (q_pow(ell - 2 - c) - q_pow(c + 2 - ell))
-        * q_pow(c * (c - beta - ell + 4)),
-        lambda c: magic(nu - 1, c, beta - 1, 0),
-    )
+    _, _, eps, left, drop, eps_sum, weight = TELESCOPES[variant]
+    lhs = sign(k) * left(nu, k, beta, ell) * magic(nu, k, beta, eps)
+    rhs = lsum(sign(c) * weight(nu, c, beta, ell) * magic(nu - drop, c, beta - drop, eps_sum)
+               for c in range(ell - k, k))
     return lhs, rhs
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdemazure import laurent
-from qdemazure.laurent import ONE, ZERO, _binomial, _slot_bytes, lsum, q_pow, qbinom, qnum
+from qdemazure.laurent import ONE, ZERO, _binomial, _slot_bytes, lsum, q_pow, qbinom, qnum, sign
 from qdemazure.magic import (
     chu_vandermonde_special,
     genfun_window,
@@ -13,17 +13,19 @@ from qdemazure.magic import (
     gen_interval_Xprime,
     magic,
     magic_genfun,
-    magic_genfun_for3,
     magic_recursion_sides,
     magic_symmetry_sides,
     parity_interval,
     REFORMED,
     reformed_telescope_sides,
+    TELESCOPES,
     telescope_sides,
+    telescope_window,
     term,
     xprime_difference,
 )
 from qdemazure.polyring import TriPoly
+from qdemazure.verify import Bounds, suite_telescope
 
 
 def from_q_terms(pairs):
@@ -197,11 +199,20 @@ def test_genfun_rejects_gap():
 
 
 def test_genfun_for3():
-    series = magic_genfun_for3(8, 5, 0)
-    for beta in range(8):
-        assert _coefficient(series, beta) == q_pow(beta) * magic(8, 4, beta, 0)
-    with pytest.raises(ValueError):
-        magic_genfun_for3(8, 9, 0)
+    """The i = 3 factor q^beta * magic(nu, k, beta, eps) is generated by the
+    x -> qx image of magic_genfun: prod (1 + q^(lambda+1) x) over its window."""
+    for nu in range(2, 9):
+        for eps in (-1, 0, 1):
+            for k in range(1, 2 * nu + eps):
+                window = genfun_window(nu, k, eps)
+                if window is None:
+                    continue
+                series = TriPoly.one()
+                for iv in window(nu, k, eps):
+                    for lam in iv:
+                        series = series * _linear(ONE, q_pow(lam + 1))
+                for beta in range(nu + 1):
+                    assert _coefficient(series, beta) == q_pow(beta) * magic(nu, k, beta, eps), (nu, k, eps, beta)
 
 
 def test_genfun_has_degree_nu_minus_2_on_the_x1_axis():
@@ -212,12 +223,11 @@ def test_genfun_has_degree_nu_minus_2_on_the_x1_axis():
             for k in range(1, 2 * nu + eps):
                 if genfun_window(nu, k, eps) is None:
                     continue
-                for series in (magic_genfun(nu, k, eps), magic_genfun_for3(nu, k + 1, eps)):
-                    terms = series.terms()
-                    assert all(e[1:] == (0, 0) for e in terms), (nu, k, eps)
-                    assert max(e[0] for e in terms) == nu - 2, (nu, k, eps)
-                    for beta in range(nu - 1):
-                        assert terms[(beta, 0, 0)].at_one() == comb(nu - 2, beta)
+                terms = magic_genfun(nu, k, eps).terms()
+                assert all(e[1:] == (0, 0) for e in terms), (nu, k, eps)
+                assert max(e[0] for e in terms) == nu - 2, (nu, k, eps)
+                for beta in range(nu - 1):
+                    assert terms[(beta, 0, 0)].at_one() == comb(nu - 2, beta)
 
 
 def test_magic_symmetry():
@@ -266,6 +276,83 @@ def test_telescope_examples():
         telescope_sides("sum", 4, 3, 2)
     with pytest.raises(ValueError):
         telescope_sides("spiral", 4, 5, 2)
+    with pytest.raises(ValueError):
+        telescope_window("spiral", 4)
+
+
+def _telescope_reference(variant, nu, k, beta):
+    """The four telescoping-sum identities, each written out in full."""
+    ell = telescope_window(variant, nu).stop
+    sgn_k = sign(k)
+
+    def rhs_sum(weight, mag):
+        return lsum(sign(c) * weight(c) * mag(c) for c in range(ell - k, k))
+
+    if variant == "sum":
+        lhs = sgn_k * (q_pow(-2 * k) - q_pow(-2 * nu)) * magic(nu, k, beta, 0) * q_pow(k * (k - beta - ell + 1))
+        rhs = q_pow(-2 * ell + 2) * rhs_sum(
+            lambda c: q_pow(c * (c - beta - ell + 3)),
+            lambda c: magic(nu, c, beta, -1),
+        )
+        return lhs, rhs
+    if variant == "even_even":
+        lhs = (
+            sgn_k
+            * (q_pow(2 * k) - q_pow(2 * nu))
+            * (q_pow(2 * nu) - q_pow(2 * k - 2))
+            * magic(nu, k, beta, 1)
+            * q_pow(k * (k - beta - ell - 2))
+        )
+        rhs = rhs_sum(
+            lambda c: (q_pow(-2 * nu) - q_pow(-2 * c)) * q_pow(c * (c - beta - ell + 4)),
+            lambda c: magic(nu, c, beta, 0),
+        )
+        return lhs, rhs
+    if variant == "odd_odd":
+        lhs = sgn_k * q_pow(ell - 1) * (ONE - q_pow(2 * beta)) * magic(nu, k, beta, -1) * q_pow(k * (k - beta - ell))
+        rhs = rhs_sum(
+            lambda c: (ONE - q_pow(2 * c + 6 - 4 * nu)) * q_pow(c * (c - beta - ell + 3)),
+            lambda c: magic(nu - 1, c, beta - 1, -1),
+        )
+        return lhs, rhs
+    assert variant == "odd_even"
+    lhs = (
+        sgn_k
+        * q_pow(2 * ell - 3)
+        * (ONE - q_pow(2 * beta))
+        * (q_pow(k - nu) - q_pow(nu - k))
+        * magic(nu, k, beta, 0)
+        * q_pow(k * (k - beta - ell))
+    )
+    rhs = rhs_sum(
+        lambda c: (q_pow(c + 1 - nu) - q_pow(nu - c - 1))
+        * (q_pow(ell - 2 - c) - q_pow(c + 2 - ell))
+        * q_pow(c * (c - beta - ell + 4)),
+        lambda c: magic(nu - 1, c, beta - 1, 0),
+    )
+    return lhs, rhs
+
+
+def test_telescope_table_matches_the_written_out_identities():
+    assert list(TELESCOPES) == ["sum", "even_even", "odd_odd", "odd_even"]
+    for variant in TELESCOPES:
+        for nu in range(1, 8):
+            for k in telescope_window(variant, nu):
+                for beta in range(nu + 1):
+                    assert telescope_sides(variant, nu, k, beta) == _telescope_reference(variant, nu, k, beta), (
+                        variant, nu, k, beta)
+
+
+@pytest.mark.parametrize("weight", [3, 6], ids=["A", "W"])
+@pytest.mark.parametrize("variant", list(TELESCOPES))
+def test_a_wrong_telescope_weight_fails_only_its_variant(monkeypatch, variant, weight):
+    row = list(TELESCOPES[variant])
+    right = row[weight]
+    row[weight] = lambda *args: q_pow(1) * right(*args)
+    monkeypatch.setitem(TELESCOPES, variant, tuple(row))
+    report = suite_telescope(Bounds(max_nu=6))
+    assert report.counterexamples
+    assert {cx.inputs[0] for cx in report.counterexamples} == {variant}
 
 
 def _partial_sums(variant, B):

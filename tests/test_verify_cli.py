@@ -20,7 +20,7 @@ from qdemazure.verify import Bounds, SUITES, run_suite
 
 SMALL_BOUNDS_CHECKS = {
     "relations": 4032, "symmetries": 180, "recursions": 123, "formula-vs-oracle": 1008,
-    "magic-golden": 2, "magic-genfun": 366, "magic-symmetry": 78, "chu-vandermonde": 901,
+    "magic-golden": 2, "magic-genfun": 210, "magic-symmetry": 78, "chu-vandermonde": 901,
     "magic-recursion": 218, "telescope": 154, "rou-lemmas": 219, "rou-xi": 171,
     "q1-degeneration": 450, "calibration": 43,
 }
@@ -628,6 +628,27 @@ def test_cli_verify_bad_out_path_is_usage_error(tmp_path, capsys, where):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert f"cannot write the report to {path}" in captured.err
+
+
+@pytest.mark.parametrize("broken, code", [(False, 2), (True, 3)], ids=["vacuous", "internal"])
+def test_cli_verify_run_without_a_report_keeps_out(tmp_path, monkeypatch, capsys, broken, code):
+    """A vacuous bound found after the sweep (exit 2) or an internal error
+    (exit 3) leaves an old --out file as it was and creates no new one."""
+    import qdemazure.cli as climod
+
+    def fault(bounds, jobs=1):
+        raise RuntimeError("fault")
+
+    if broken:
+        monkeypatch.setitem(climod.SUITES, "rou-xi", fault)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text('{"old": 1}')
+    for path in (old, new):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "rou-xi", "--max-m", "1", "--out", str(path)])
+        assert exc.value.code == code
+    assert old.read_text() == '{"old": 1}'
+    assert not new.exists()
 
 
 def test_cli_parser_is_built_once():
