@@ -48,8 +48,25 @@ _PRODUCT_ORDER = ("mu", "kappa1", "kappa2", "lambda1", "lambda2", "lambda3", "la
                   "gamma2", "gamma1", "gamma3")
 
 
+# gamma2 = q^-s (q - q^-1)^phi [n_1]...[n_phi] and gamma3 = q^(beta*o) magic(nu, k - o, beta, eps),
+# where the row keyed by (a odd, b odd, i) maps (nu, k, ell) to (s, (n_1, ..., n_phi), eps, o).
+# phi counts the even members of (a, b), so it is the length of every row's arguments tuple.
+# The two b-odd rows do not depend on i.
+GAMMA_ROWS = {
+    **dict.fromkeys(((True, True, i) for i in (1, 2, 3)), lambda nu, k, ell: (0, (), -1, 0)),
+    **dict.fromkeys(((False, True, i) for i in (1, 2, 3)), lambda nu, k, ell: (nu, (k - nu,), 0, 0)),
+    (True, False, 1): lambda nu, k, ell: (nu, (nu - k,), 0, 0),
+    (True, False, 2): lambda nu, k, ell: (ell - 1, (ell - 1 - k,), -1, 0),
+    (True, False, 3): lambda nu, k, ell: (ell - 1, (1 - k,), -1, 1),
+    (False, False, 1): lambda nu, k, ell: (ell, (k - nu, nu + 1 - k), 1, 0),
+    (False, False, 2): lambda nu, k, ell: (ell + nu - 1, (k - nu, ell - 1 - k), 0, 0),
+    (False, False, 3): lambda nu, k, ell: (ell + nu - 1, (k - 1, nu + 1 - k), 0, 1),
+}
+
+
 def factors_standard(a: int, b: int, i: int, k: int) -> XiFactors:
-    """All the factors of the standard-regime formula at (a, b, i, k)."""
+    """All the factors of the standard-regime formula at (a, b, i, k); gamma2
+    and gamma3 are assembled from the GAMMA_ROWS row at (a odd, b odd, i)."""
     check_index(i)
     if a <= 0 or b <= 0:
         raise ValueError("standard regime needs a, b > 0")
@@ -63,40 +80,16 @@ def factors_standard(a: int, b: int, i: int, k: int) -> XiFactors:
     if not 0 < k < ell:
         raise ValueError(f"k={k} outside the open range 0..{ell}")
     a_odd, b_odd = a % 2 == 1, b % 2 == 1
-    qm = q_pow(1) - q_pow(-1)
-
-    if a_odd and b_odd:
-        gamma2 = ONE
-        gamma3 = magic(nu, k, beta, -1)
-    elif b_odd:
-        gamma2 = q_pow(-nu) * qm * qnum(k - nu)
-        gamma3 = magic(nu, k, beta, 0)
-    elif a_odd:
-        if i == 1:
-            gamma2 = q_pow(-nu) * qm * qnum(nu - k)
-            gamma3 = magic(nu, k, beta, 0)
-        elif i == 2:
-            gamma2 = q_pow(-(ell - 1)) * qm * qnum(ell - 1 - k)
-            gamma3 = magic(nu, k, beta, -1)
-        else:
-            gamma2 = q_pow(-(ell - 1)) * qm * qnum(1 - k)
-            gamma3 = q_pow(beta) * magic(nu, k - 1, beta, -1)
-    else:
-        if i == 1:
-            gamma2 = q_pow(-ell) * qm * qm * qnum(k - nu) * qnum(nu + 1 - k)
-            gamma3 = magic(nu, k, beta, 1)
-        elif i == 2:
-            gamma2 = q_pow(-(ell + nu - 1)) * qm * qm * qnum(k - nu) * qnum(ell - 1 - k)
-            gamma3 = magic(nu, k, beta, 0)
-        else:
-            gamma2 = q_pow(-(ell + nu - 1)) * qm * qm * qnum(k - 1) * qnum(nu + 1 - k)
-            gamma3 = q_pow(beta) * magic(nu, k - 1, beta, 0)
+    s, args, eps, o = GAMMA_ROWS[a_odd, b_odd, i](nu, k, ell)
+    gamma2 = q_pow(-s)
+    for n in args:
+        gamma2 = gamma2 * (q_pow(1) - q_pow(-1)) * qnum(n)
 
     return XiFactors(
         mu=sign(beta + k),
         gamma1=rho_prime(alpha) * rho_prime(beta),
         gamma2=gamma2,
-        gamma3=gamma3,
+        gamma3=q_pow(beta * o) * magic(nu, k - o, beta, eps),
         kappa1=z_pow(k) * q_pow(k * (k - beta - ell)),
         kappa2=q_pow(2 * k) if i == 2 else ONE,
         lambda1=z_pow(binom2(beta) - binom2(ell + 1)) * p_pow(-(beta + 1) * (ell + 3 * beta)),

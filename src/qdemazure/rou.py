@@ -159,6 +159,22 @@ class RouParams:
         return self.bottom <= self.alpha <= self.m - 1
 
 
+# The exponent of the power of p that each form leaves over, as a function of
+# (beta, d), keyed by (m mod 2, a mod 2).
+FORMULA_LEFTOVER_P_EXP = {
+    (0, 0): lambda beta, d: -2 * beta**2 - 6 * beta - 4,
+    (0, 1): lambda beta, d: -2 * beta**2 - 2 * beta,
+    (1, 0): lambda beta, d: -2 * beta**2 - 5 * beta - 3 + 3 * d,
+    (1, 1): lambda beta, d: -2 * beta**2 - 3 * beta - 1,
+}
+COROLLARY_LEFTOVER_P_EXP = {
+    (0, 0): lambda beta, d: beta**2 + 3 * beta * d - d - 1,
+    (0, 1): lambda beta, d: beta**2 + 3 * beta * d + 4 * beta - 7 * d + 3,
+    (1, 0): lambda beta, d: beta**2 - 9 * beta * d - 2 * beta - 7 * d - 2,
+    (1, 1): lambda beta, d: beta**2 - 9 * beta * d - 3 * beta - 7 * d - 3,
+}
+
+
 def xi_rou_formula(m: int, a: int, i: int) -> CycElem:
     """The staircase scalar at a primitive root of unity, by the direct formula.
 
@@ -169,19 +185,13 @@ def xi_rou_formula(m: int, a: int, i: int) -> CycElem:
     p = RouParams.from_ma(m, a)
     if a <= m - 2 or a >= 2 * m + 1:
         return CycElem.zero(m)
-    blah_exp = {
-        (0, 0): -2 * p.beta**2 - 6 * p.beta - 4,
-        (0, 1): -2 * p.beta**2 - 2 * p.beta,
-        (1, 0): -2 * p.beta**2 - 5 * p.beta - 3 + 3 * p.d,
-        (1, 1): -2 * p.beta**2 - 3 * p.beta - 1,
-    }[(m % 2, a % 2)]
     value = (
         sign(p.d + a + p.beta)
         * (m * m)
         * z_pow(2 * m)
         * q_pow(binom2(p.d + 1) - binom2(p.alpha + 1) - binom2(p.beta + 1))
         * qbinom(m - 1 - p.bottom, p.beta - p.bottom)
-        * p_pow(blah_exp)
+        * p_pow(FORMULA_LEFTOVER_P_EXP[m % 2, a % 2](p.beta, p.d))
     )
     return specialize(value, m)
 
@@ -194,16 +204,8 @@ def xi_rou_corollary(m: int, a: int, i: int) -> CycElem:
     if not p.in_nonzero_range:
         raise ValueError(f"a={a} has alpha={p.alpha} outside {p.bottom}..{m - 1}")
     beta, d = p.beta, p.d
-    blah_exp = {
-        (0, 0): beta**2 + 3 * beta * d - d - 1,
-        (0, 1): beta**2 + 3 * beta * d + 4 * beta - 7 * d + 3,
-        (1, 0): beta**2 - 9 * beta * d - 2 * beta - 7 * d - 2,
-        (1, 1): beta**2 - 9 * beta * d - 3 * beta - 7 * d - 3,
-    }[(m % 2, a % 2)]
-    value = (
-        sign(d + beta + 1) * (m * m) * qbinom(m - 1 - p.bottom, beta - p.bottom) * p_pow(blah_exp)
-    )
-    return specialize(value, m)
+    value = sign(d + beta + 1) * (m * m) * qbinom(m - 1 - p.bottom, beta - p.bottom)
+    return specialize(value * p_pow(COROLLARY_LEFTOVER_P_EXP[m % 2, a % 2](beta, d)), m)
 
 
 def xi_rou_specialized(m: int, a: int, i: int, method: str = "formula") -> CycElem:

@@ -4,6 +4,7 @@ import pytest
 
 from qdemazure.closed_formula import (
     _PRODUCT_ORDER,
+    GAMMA_ROWS,
     XiFactors,
     factors_standard,
     xi_bzero,
@@ -11,8 +12,9 @@ from qdemazure.closed_formula import (
     xi_klen,
     xi_standard,
 )
-from qdemazure.laurent import ONE, ZERO, q_pow, rho_prime, z_pow
+from qdemazure.laurent import ONE, ZERO, q_pow, qnum, rho_prime, z_pow
 from qdemazure.magic import magic
+from qdemazure.verify import Bounds, run_suite
 from qdemazure.words import xi_oracle
 
 
@@ -186,3 +188,85 @@ def test_q1_degeneration_small():
     for a, b, i, k in all_quadruples(6):
         if a + b + 1 >= 4:
             assert xi_formula(a, b, i, k).at_one() == 0, (a, b, i, k)
+
+
+def _reference_gammas(a, b, i, k):
+    """gamma2 and gamma3 as the eight hand-written branches picked them before
+    the GAMMA_ROWS table."""
+    alpha, beta = (a - 1) // 2, (b - 1) // 2
+    nu = alpha + beta + 2
+    ell = a + b + 1
+    a_odd, b_odd = a % 2 == 1, b % 2 == 1
+    qm = q_pow(1) - q_pow(-1)
+
+    if a_odd and b_odd:
+        gamma2 = ONE
+        gamma3 = magic(nu, k, beta, -1)
+    elif b_odd:
+        gamma2 = q_pow(-nu) * qm * qnum(k - nu)
+        gamma3 = magic(nu, k, beta, 0)
+    elif a_odd:
+        if i == 1:
+            gamma2 = q_pow(-nu) * qm * qnum(nu - k)
+            gamma3 = magic(nu, k, beta, 0)
+        elif i == 2:
+            gamma2 = q_pow(-(ell - 1)) * qm * qnum(ell - 1 - k)
+            gamma3 = magic(nu, k, beta, -1)
+        else:
+            gamma2 = q_pow(-(ell - 1)) * qm * qnum(1 - k)
+            gamma3 = q_pow(beta) * magic(nu, k - 1, beta, -1)
+    else:
+        if i == 1:
+            gamma2 = q_pow(-ell) * qm * qm * qnum(k - nu) * qnum(nu + 1 - k)
+            gamma3 = magic(nu, k, beta, 1)
+        elif i == 2:
+            gamma2 = q_pow(-(ell + nu - 1)) * qm * qm * qnum(k - nu) * qnum(ell - 1 - k)
+            gamma3 = magic(nu, k, beta, 0)
+        else:
+            gamma2 = q_pow(-(ell + nu - 1)) * qm * qm * qnum(k - 1) * qnum(nu + 1 - k)
+            gamma3 = q_pow(beta) * magic(nu, k - 1, beta, 0)
+    return gamma2, gamma3
+
+
+def standard_quadruples(max_len):
+    for a, b, i, k in all_quadruples(max_len):
+        if a > 0 and b > 0 and 0 < k < a + b + 1:
+            yield a, b, i, k
+
+
+def test_gamma_rows_match_the_hand_written_branches():
+    assert set(GAMMA_ROWS) == {(a_odd, b_odd, i) for a_odd in (True, False) for b_odd in (True, False)
+                               for i in (1, 2, 3)}
+    for a, b, i, k in standard_quadruples(14):
+        fac = factors_standard(a, b, i, k)
+        assert (fac.gamma2, fac.gamma3) == _reference_gammas(a, b, i, k), (a, b, i, k)
+
+
+# The distinct rows: each b-odd row is shared by its three keys.
+ROW_KEYS = {
+    "odd-odd": [(True, True, i) for i in (1, 2, 3)],
+    "even-odd": [(False, True, i) for i in (1, 2, 3)],
+    **{f"{'odd' if a_odd else 'even'}-even-i{i}": [(a_odd, False, i)]
+       for a_odd in (True, False) for i in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("row", list(ROW_KEYS))
+def test_a_wrong_gamma_row_fails_the_oracle_in_its_own_quadruples_only(monkeypatch, row):
+    def off_by_one(right):
+        def wrong(nu, k, ell):
+            s, args, eps, o = right(nu, k, ell)
+            if not args:
+                return s + 1, args, eps, o
+            return s, (args[0] + 1, *args[1:]), eps, o
+        return wrong
+
+    keys = ROW_KEYS[row]
+    for key in keys:
+        monkeypatch.setitem(GAMMA_ROWS, key, off_by_one(GAMMA_ROWS[key]))
+    report = run_suite("formula-vs-oracle", Bounds(max_len=8))
+    assert report.counterexamples
+    for cx in report.counterexamples:
+        kind, a, b, i, k = cx.inputs
+        assert kind == "formula-vs-oracle" and a > 0 and b > 0 and 0 < k < a + b + 1, cx.inputs
+        assert (a % 2 == 1, b % 2 == 1, i) in keys, cx.inputs
